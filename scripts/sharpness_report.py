@@ -1,27 +1,28 @@
 #!/usr/bin/env python3
-"""Print the sharp-constant scoreboard: estimated norms vs closed-form targets."""
+"""Print the sharp-constant scoreboard: estimated norms vs closed-form targets.
+
+The maps and their targets come from the fixture catalog (fixtures.json);
+each row is one norm row of `run_fixture` on the requested grid.
+"""
 import argparse
-import math
 import sys
 import time
 
-from logharm import GridSpec, LogHarmonicMap, bloch_norm_log, pre_schwarzian_norm, schwarzian_norm, weighted_sup
-from logharm.expr import Mul
-from logharm.maps import analytic_pre_schwarzian_field, hg_epsilon_field
+from logharm import GridSpec, run_fixture
 
-CASES = {
-    "gap-one": (0, 0, "exp(z/(1-z))", "exp(-z/(1-z))/(1-z)"),
-    "gap-five": (0, 0, "z/(1-z)", "1/(1-z)"),
-    "mobius-a60": (0, 0, "1/(1-z)", "(1-z)*(1-0.6*z)^(-8/3)"),
-    "mobius-a90": (0, 0, "1/(1-z)", "(1-z)*(1-0.9*z)^(-19/9)"),
-    "mobius-a99": (0, 0, "1/(1-z)", "(1-z)*(1-0.99*z)^(-199/99)"),
-    "koebe": (0, 0, "z/(1-z)^2", "1"),
-}
-
-
-def interior_max(a: float) -> float:
-    r = (1 - math.sqrt(1 - a * a)) / a
-    return 2 * (1 + r) + (a - r) * (2 + r) / (1 - a * r)
+# (fixture, norm metric, scoreboard label), in print order
+SCOREBOARD = (
+    ("gap-one-sharp", "pre_schwarzian_norm", "gap-one  |P_f|"),
+    ("gap-one-sharp", "product_pre_schwarzian_norm", "gap-one  |P_hg|"),
+    ("gap-five-sharp", "pre_schwarzian_norm", "gap-five |P_f|"),
+    ("gap-five-sharp", "member_pre_schwarzian_norm", "gap-five member"),
+    ("gap-five-sharp", "bloch_log_g", "gap-five Bloch(log g)"),
+    ("mobius-gap-a60", "pre_schwarzian_norm", "mobius-a60 |P_f|"),
+    ("mobius-gap-a90", "pre_schwarzian_norm", "mobius-a90 |P_f|"),
+    ("mobius-gap-a99", "pre_schwarzian_norm", "mobius-a99 |P_f|"),
+    ("koebe", "pre_schwarzian_norm", "koebe |P|"),
+    ("koebe", "schwarzian_norm", "koebe |S|"),
+)
 
 
 def main() -> int:
@@ -36,27 +37,14 @@ def main() -> int:
         refine_rounds=args.refine,
     )
 
-    rows = []
-    maps = {k: LogHarmonicMap.from_strings(*v) for k, v in CASES.items()}
-
     t0 = time.perf_counter()
-    f = maps["gap-one"]
-    rows.append(("gap-one  |P_f|", pre_schwarzian_norm(f, grid).value, 5.0))
-    rows.append(
-        ("gap-one  |P_hg|", weighted_sup(analytic_pre_schwarzian_field(Mul(f.h, f.g)), 1, grid).value, 4.0)
-    )
-
-    f = maps["gap-five"]
-    rows.append(("gap-five |P_f|", pre_schwarzian_norm(f, grid).value, 5.0))
-    rows.append(("gap-five member", weighted_sup(hg_epsilon_field(f, -1), 1, grid).value, 0.0))
-    rows.append(("gap-five Bloch(log g)", bloch_norm_log(f.g, grid).value, 2.0))
-
-    for a, name in ((0.6, "mobius-a60"), (0.9, "mobius-a90"), (0.99, "mobius-a99")):
-        rows.append((f"{name} |P_f|", pre_schwarzian_norm(maps[name], grid).value, interior_max(a)))
-
-    f = maps["koebe"]
-    rows.append(("koebe |P|", pre_schwarzian_norm(f, grid).value, 6.0))
-    rows.append(("koebe |S|", schwarzian_norm(f, grid).value, 6.0))
+    results = {}
+    rows = []
+    for fixture, metric, label in SCOREBOARD:
+        if fixture not in results:
+            results[fixture] = {r.metric: r for r in run_fixture(fixture, grid).rows}
+        row = results[fixture][metric]
+        rows.append((label, row.computed, row.expected))
     elapsed = time.perf_counter() - t0
 
     width = max(len(r[0]) for r in rows)

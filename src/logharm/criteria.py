@@ -14,17 +14,18 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import AllSamplesFailed, ZeroEncountered
+from .errors import ZeroEncountered
 from .expr import Div, Expr, Lit, Mul, Pow, Var, eval_jet
 from .maps import (
     LogHarmonicMap,
-    _field_array,
+    _phi_logderiv,
+    _pre_kernel,
+    _raw_local,
     analytic_pre_schwarzian_field,
     analytic_schwarzian_field,
     hg_epsilon_field,
-    pre_schwarzian_field,
 )
-from .norms import GridSpec, _radii, bloch_norm_log, pre_schwarzian_norm, weighted_sup
+from .norms import GridSpec, bloch_norm_log, level_walk, pre_schwarzian_norm, weighted_sup
 
 # additive slack for pointwise inequalities
 SAMPLE_SLACK = 1e-9
@@ -44,38 +45,16 @@ class CheckReport:
     extras: dict = dc_field(default_factory=dict)
 
 
-def _margin_sweep(margin_field, grid: GridSpec, inner: float = 0.0):
-    """Max of a real-valued margin field over the polar grid.
+def _worst_margin(margin_field, grid: GridSpec, inner: float = 0.0):
+    """(worst margin, witness, samples, failed) of a real margin field.
 
-    NaN samples are skipped and counted.  Reduction is in (r, theta) order
-    with strict comparison, so the worst point is deterministic.
+    The margin is re-evaluated at the witness; that re-evaluation pins the
+    reported margin to its witness and is the certificate of a fail.
     """
-    radii = _radii(inner, grid.r_max, grid.radial_levels)
-    full = np.arange(grid.angular_count) * (2.0 * math.pi / grid.angular_count)
-    worst_margin = -math.inf
-    worst_point = 0j
-    total = failed = 0
-    for r in radii:
-        thetas = np.array([0.0]) if r == 0.0 else full
-        zs = r * np.exp(1j * thetas)
-        m = np.asarray(margin_field(zs), dtype=float)
-        ok = np.isfinite(m)
-        total += m.size
-        failed += int(m.size - np.count_nonzero(ok))
-        if not ok.any():
-            continue
-        masked = np.where(ok, m, -math.inf)
-        j = int(np.argmax(masked))
-        if masked[j] > worst_margin:
-            worst_margin = float(masked[j])
-            worst_point = complex(zs[j])
-    if failed == total:
-        raise AllSamplesFailed("every check sample failed to evaluate")
-    # scalar re-evaluation pins the reported margin to its witness
-    re_eval = float(np.asarray(margin_field(np.array([worst_point])), dtype=float)[0])
-    if math.isfinite(re_eval):
-        worst_margin = re_eval
-    return worst_margin, worst_point, total, failed
+    walk = level_walk(lambda r, zs: margin_field(zs), grid, inner)
+    re_eval = float(np.asarray(margin_field(np.array([walk.point])), dtype=float)[0])
+    worst = re_eval if math.isfinite(re_eval) else walk.value
+    return worst, walk.point, walk.samples, walk.failed
 
 
 def _verdict(margin: float) -> str:
@@ -148,7 +127,7 @@ def schwarz_pick_check(omega: Expr, grid: GridSpec | None = None) -> CheckReport
                 max_mod[0] = max(max_mod[0], float(np.max(mods)))
         return np.where(np.isfinite(m), m, np.nan)
 
-    worst, point, total, failed = _margin_sweep(margin, grid)
+    worst, point, total, failed = _worst_margin(margin, grid)
     ok = worst <= SAMPLE_SLACK
     return CheckReport(
         verdict="pass" if ok else "fail",
@@ -172,18 +151,13 @@ def _a5_margin_field(f: LogHarmonicMap, eps: complex):
     def margin(z):
         z = np.asarray(z, dtype=complex)
         with np.errstate(all="ignore"):
-            hj = eval_jet(f.h, z)
-            gj = eval_jet(f.g, z)
-            om = (gj.derivative() * hj) / (hj.derivative() * gj)
-            w0 = np.broadcast_to(np.asarray(om.d0, dtype=complex), z.shape)
-            w1 = np.broadcast_to(np.asarray(om.d1, dtype=complex), z.shape)
-            pf = np.asarray(pre_schwarzian_field(f)(z))
-            gl = np.broadcast_to(np.asarray(gj.d1 / gj.d0, dtype=complex), z.shape)
-            one_abs2 = 1.0 - np.abs(w0) ** 2
+            omega, G, H = _raw_local(f, z)
+            w0, w1 = omega.d0, omega.d1
+            pf = _pre_kernel(w0, w1, _phi_logderiv(G, H))
             lhs = (
                 np.abs(z * pf)
-                + one_minus * np.abs(z * gl)
-                + np.abs(z * w1) / one_abs2
+                + one_minus * np.abs(z * (G.d1 / G.d0))
+                + np.abs(z * w1) / (1.0 - np.abs(w0) ** 2)
             )
             m = (1.0 - np.abs(z) ** 2) * lhs - 1.0
             m = np.where(np.abs(w0) < 1, m, np.nan)
@@ -206,7 +180,7 @@ def hg_epsilon_univalence_check(
         raise ValueError("the h g^eps criterion applies to m = 0 mappings")
     grid = grid or GridSpec()
     eps = complex(eps)
-    worst, point, total, failed = _margin_sweep(_a5_margin_field(f, eps), grid)
+    worst, point, total, failed = _worst_margin(_a5_margin_field(f, eps), grid)
     member = Mul(f.h, Pow(f.g, Lit(eps)))
     corroboration = becker_check(member, grid)
     ok = worst <= SAMPLE_SLACK
@@ -367,7 +341,7 @@ def starlike_check(f: LogHarmonicMap, grid: GridSpec | None = None) -> CheckRepo
     a cross-check in the test suite.
     """
     grid = grid or GridSpec()
-    worst, point, total, failed = _margin_sweep(
+    worst, point, total, failed = _worst_margin(
         _starlike_margin_field(f), grid, inner=_INNER
     )
     ok = worst <= SAMPLE_SLACK
@@ -407,7 +381,7 @@ def associated_starlike(
             m = -np.real(val)
         return np.where(np.isfinite(m), m, np.nan)
 
-    worst, point, total, failed = _margin_sweep(margin, grid, inner=_INNER)
+    worst, point, total, failed = _worst_margin(margin, grid, inner=_INNER)
     ok = worst <= SAMPLE_SLACK
     report = CheckReport(
         verdict="pass" if ok else "fail",

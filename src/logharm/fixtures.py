@@ -115,32 +115,38 @@ def _omega_deviation(fx: Fixture) -> float:
     )
 
 
-def _evaluate_metric(fx: Fixture, metric: str, arg: complex | None, grid: GridSpec):
+def _member_norm(fx: Fixture, grid: GridSpec) -> float:
+    if fx.eps is None:
+        raise ValueError(f"fixture {fx.name} declares no eps")
+    return weighted_sup(hg_epsilon_field(fx.map, fx.eps), 1, grid).value
+
+
+_NORMS = {
+    "pre_schwarzian_norm": lambda fx, grid: pre_schwarzian_norm(fx.map, grid).value,
+    "product_pre_schwarzian_norm": lambda fx, grid: weighted_sup(
+        analytic_pre_schwarzian_field(Mul(fx.map.h, fx.map.g)), 1, grid
+    ).value,
+    "member_pre_schwarzian_norm": _member_norm,
+    "bloch_log_g": lambda fx, grid: bloch_norm_log(fx.map.g, grid).value,
+    "schwarzian_norm": lambda fx, grid: schwarzian_norm(fx.map, grid).value,
+}
+# each gap is the difference of two catalog norms
+_GAPS = {
+    "norm_gap": ("pre_schwarzian_norm", "product_pre_schwarzian_norm"),
+    "eps_norm_gap": ("pre_schwarzian_norm", "member_pre_schwarzian_norm"),
+}
+
+
+def _evaluate_metric(fx: Fixture, metric: str, arg: complex | None, grid: GridSpec, norms: dict):
+    """Value of one catalog metric; `norms` memoizes the norms of this run."""
     f = fx.map
-    if metric == "pre_schwarzian_norm":
-        return pre_schwarzian_norm(f, grid).value
-    if metric == "product_pre_schwarzian_norm":
-        field = analytic_pre_schwarzian_field(Mul(f.h, f.g))
-        return weighted_sup(field, 1, grid).value
-    if metric == "member_pre_schwarzian_norm":
-        if fx.eps is None:
-            raise ValueError(f"fixture {fx.name} declares no eps")
-        return weighted_sup(hg_epsilon_field(f, fx.eps), 1, grid).value
-    if metric == "bloch_log_g":
-        return bloch_norm_log(f.g, grid).value
-    if metric == "norm_gap":
-        a = pre_schwarzian_norm(f, grid).value
-        field = analytic_pre_schwarzian_field(Mul(f.h, f.g))
-        b = weighted_sup(field, 1, grid).value
+    if metric in _NORMS:
+        if metric not in norms:
+            norms[metric] = _NORMS[metric](fx, grid)
+        return norms[metric]
+    if metric in _GAPS:
+        a, b = (_evaluate_metric(fx, m, arg, grid, norms) for m in _GAPS[metric])
         return abs(a - b)
-    if metric == "eps_norm_gap":
-        if fx.eps is None:
-            raise ValueError(f"fixture {fx.name} declares no eps")
-        a = pre_schwarzian_norm(f, grid).value
-        b = weighted_sup(hg_epsilon_field(f, fx.eps), 1, grid).value
-        return abs(a - b)
-    if metric == "schwarzian_norm":
-        return schwarzian_norm(f, grid).value
     if metric == "pre_schwarzian_at":
         return pre_schwarzian(f, arg)
     if metric == "schwarzian_at":
@@ -185,9 +191,10 @@ def run_fixture(name: str, grid: GridSpec | None = None) -> FixtureResult:
     fx = load_fixture(name)
     grid = grid or GridSpec(radial_levels=40, angular_count=512, refine_rounds=3)
     rows = []
+    norms: dict[str, float] = {}
     for check in fx.checks:
         arg = complex(*check["arg"]) if "arg" in check else None
-        computed = _evaluate_metric(fx, check["metric"], arg, grid)
+        computed = _evaluate_metric(fx, check["metric"], arg, grid, norms)
         expected = check["expect"]
         tol = check.get("tol")
         relative = bool(check.get("rel", False))

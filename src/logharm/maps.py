@@ -110,7 +110,20 @@ class LocalData:
     G_jet: Jet
     H_jet: Jet
     phi_logderiv: complex
-    jacobian: float
+
+
+def _omega_jet(f: LogHarmonicMap, z, hj: Jet, gj: Jet, hp: Jet) -> Jet:
+    """Order-2 dilatation jet from the order-3 jets of h and g and the jet hp of h'.
+
+    Unlike the full local bundle it is regular at the origin even when the
+    map vanishes there.
+    """
+    gp = gj.derivative()
+    if f.m == 0:
+        return (gp * hj) / (hp * gj)
+    zj = Jet.variable(z, 2)
+    den = (f.beta + 1) * f.m + zj * (hp / hj)
+    return (zj * (gp / gj) + f.beta * f.m) / den
 
 
 def _raw_local(f: LogHarmonicMap, z):
@@ -118,19 +131,72 @@ def _raw_local(f: LogHarmonicMap, z):
     hj = eval_jet(f.h, z)
     gj = eval_jet(f.g, z)
     hp = hj.derivative()
-    gp = gj.derivative()
+    omega = _omega_jet(f, z, hj, gj, hp)
     if f.m == 0:
-        omega = (gp * hj) / (hp * gj)
         return omega, gj.truncate(2), hp
-    beta, m = f.beta, f.m
-    zj = Jet.variable(z, 2)
-    logh = hp / hj
-    logg = gp / gj
-    den = (beta + 1) * m + zj * logh
-    omega = (zj * logg + beta * m) / den
-    H = zj * hp + (beta + 1) * m * hj
-    G = zpow_jet(z, (2 * beta + 1) * m - 1, order=2) * gj
+    H = Jet.variable(z, 2) * hp + (f.beta + 1) * f.m * hj
+    G = zpow_jet(z, (2 * f.beta + 1) * f.m - 1, order=2) * gj
     return omega, G, H
+
+
+def _checked_denominator(f: LogHarmonicMap, z: complex, hj: Jet) -> complex:
+    den = (f.beta + 1) * f.m + z * _as_complex(hj.d1) / _as_complex(hj.d0)
+    if abs(den) < 1e-14:
+        raise DegenerateDenominator("(beta+1)m + z h'/h vanished", point=z)
+    return den
+
+
+# -- closed forms ----------------------------------------------------------
+# Each formula is written once.  The scalar operators call it on Python
+# complex values, so they keep their exact arithmetic and typed raises; the
+# *_field closures call it on whole arrays.
+
+
+def _phi_logderiv(G: Jet, H: Jet):
+    """G'/G + H'/H, the pre-Schwarzian of the analytic function with derivative H*G."""
+    return G.d1 / G.d0 + H.d1 / H.d0
+
+
+def _phi_schwarzian(G: Jet, H: Jet):
+    """The Schwarzian of the analytic function with derivative H*G."""
+    G0, G1, G2 = G.d0, G.d1, G.d2
+    H0, H1, H2 = H.d0, H.d1, H.d2
+    return (
+        G2 / G0
+        - 1.5 * (G1 / G0) ** 2
+        + H2 / H0
+        - 1.5 * (H1 / H0) ** 2
+        - (G1 * H1) / (G0 * H0)
+    )
+
+
+def _sigma(w0, w1):
+    return w0.conjugate() * w1 / (1 - abs(w0) ** 2)
+
+
+def _pre_kernel(w0, w1, p_phi):
+    """P_f = G'/G + H'/H - conj(w) w' / (1 - |w|^2)."""
+    return p_phi - _sigma(w0, w1)
+
+
+def _schwarzian_kernel(w0, w1, w2, p_phi, s_phi):
+    """S_f = S_phi - (3/2) sigma^2 + conj(w) (w' P_phi - w'') / (1 - |w|^2)."""
+    denom = 1 - abs(w0) ** 2
+    return s_phi - 1.5 * _sigma(w0, w1) ** 2 + (w0.conjugate() / denom) * (w1 * p_phi - w2)
+
+
+def _hg_kernel(eps, w0, w1, g0, g1, hp0, hp1):
+    """h''/h' + g'/g + (eps-1) g'/g + eps w' / (1 + eps w), for m = 0."""
+    logg = g1 / g0
+    return hp1 / hp0 + logg + (eps - 1) * logg + eps * w1 / (1 + eps * w0)
+
+
+def _analytic_pre_kernel(d1, d2):
+    return d2 / d1
+
+
+def _analytic_schwarzian_kernel(d1, d2, d3):
+    return d3 / d1 - 1.5 * _analytic_pre_kernel(d1, d2) ** 2
 
 
 def local_data(f: LogHarmonicMap, z: complex) -> LocalData:
@@ -139,25 +205,28 @@ def local_data(f: LogHarmonicMap, z: complex) -> LocalData:
     if f.m >= 1 and abs(z) < ORIGIN_RADIUS:
         raise PoleEncountered("derivative data needs |z| >= 1e-8 for m >= 1", point=z)
     if f.m >= 1:
-        hj = eval_jet(f.h, z, order=1)
-        den = (f.beta + 1) * f.m + z * _as_complex(hj.d1) / _as_complex(hj.d0)
-        if abs(den) < 1e-14:
-            raise DegenerateDenominator("(beta+1)m + z h'/h vanished", point=z)
+        _checked_denominator(f, z, eval_jet(f.h, z, order=1))
     omega, G, H = _raw_local(f, z)
-    w0 = _as_complex(omega.d0)
     data = LocalData(
         z=z,
-        omega=w0,
+        omega=_as_complex(omega.d0),
         omega_d1=_as_complex(omega.d1),
         omega_d2=_as_complex(omega.d2),
         G_jet=G,
         H_jet=H,
-        phi_logderiv=_as_complex(G.d1 / G.d0 + H.d1 / H.d0),
-        jacobian=float(abs(_as_complex(H.d0) * _as_complex(G.d0)) ** 2 * (1 - abs(w0) ** 2)),
+        phi_logderiv=_as_complex(_phi_logderiv(G, H)),
     )
     for v in (data.omega, data.omega_d1, data.omega_d2, data.phi_logderiv):
         if not np.isfinite(v):
             raise PoleEncountered("non-finite local data", point=z)
+    return data
+
+
+def _sense_preserving_data(f: LogHarmonicMap, z: complex) -> LocalData:
+    data = local_data(f, z)
+    mod = abs(data.omega)
+    if mod >= 1:
+        raise NotSensePreserving(point=data.z, modulus=mod)
     return data
 
 
@@ -176,10 +245,7 @@ def dilatation(f: LogHarmonicMap, z: complex) -> complex:
             raise DegenerateDenominator("h' g vanished", point=z)
         return _as_complex(gj.d1) * _as_complex(hj.d0) / den
     num = z * _as_complex(gj.d1) / _as_complex(gj.d0) + f.beta * f.m
-    den = (f.beta + 1) * f.m + z * _as_complex(hj.d1) / _as_complex(hj.d0)
-    if abs(den) < 1e-14:
-        raise DegenerateDenominator("(beta+1)m + z h'/h vanished", point=z)
-    return num / den
+    return num / _checked_denominator(f, z, hj)
 
 
 def jacobian(f: LogHarmonicMap, z: complex) -> float:
@@ -240,71 +306,23 @@ def wirtinger(f: LogHarmonicMap, z: complex) -> tuple[complex, complex, complex]
     return f_z, f_zbar, f_val
 
 
-def _sigma(data: LocalData) -> complex:
-    denom = 1 - abs(data.omega) ** 2
-    return data.omega.conjugate() * data.omega_d1 / denom
-
-
-def _require_sense_preserving(f: LogHarmonicMap, data: LocalData):
-    mod = abs(data.omega)
-    if mod >= 1:
-        raise NotSensePreserving(point=data.z, modulus=mod)
-
-
 def pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
     """P_f = d/dz log J_f, via the closed form G'/G + H'/H - conj(w)w'/(1-|w|^2)."""
-    data = local_data(f, z)
-    _require_sense_preserving(f, data)
-    return data.phi_logderiv - _sigma(data)
+    data = _sense_preserving_data(f, z)
+    return _pre_kernel(data.omega, data.omega_d1, data.phi_logderiv)
 
 
 def phi_family(f: LogHarmonicMap, z: complex) -> tuple[complex, complex]:
     """(P, S) of the analytic function with derivative H*G (never integrated)."""
     data = local_data(f, z)
-    return _phi_pair(data)
-
-
-def _phi_pair(data: LocalData) -> tuple[complex, complex]:
-    G0, G1, G2 = data.G_jet.d0, data.G_jet.d1, data.G_jet.d2
-    H0, H1, H2 = data.H_jet.d0, data.H_jet.d1, data.H_jet.d2
-    p = data.phi_logderiv
-    s = (
-        G2 / G0
-        - 1.5 * (G1 / G0) ** 2
-        + H2 / H0
-        - 1.5 * (H1 / H0) ** 2
-        - (G1 * H1) / (G0 * H0)
-    )
-    return _as_complex(p), _as_complex(s)
+    return data.phi_logderiv, _as_complex(_phi_schwarzian(data.G_jet, data.H_jet))
 
 
 def schwarzian(f: LogHarmonicMap, z: complex) -> complex:
     """S_f = dP_f/dz - P_f^2 / 2, in closed form."""
-    data = local_data(f, z)
-    _require_sense_preserving(f, data)
-    p_phi, s_phi = _phi_pair(data)
-    denom = 1 - abs(data.omega) ** 2
-    sigma = _sigma(data)
-    wbar = data.omega.conjugate()
-    return (
-        s_phi
-        - 1.5 * sigma ** 2
-        + (wbar / denom) * (data.omega_d1 * p_phi - data.omega_d2)
-    )
-
-
-def _dilatation_jet(f: LogHarmonicMap, z: complex) -> Jet:
-    # unlike the full local bundle, the dilatation jet is regular at the
-    # origin even when the map vanishes there
-    hj = eval_jet(f.h, z)
-    gj = eval_jet(f.g, z)
-    hp = hj.derivative()
-    gp = gj.derivative()
-    if f.m == 0:
-        return (gp * hj) / (hp * gj)
-    zj = Jet.variable(z, 2)
-    den = (f.beta + 1) * f.m + zj * (hp / hj)
-    return (zj * (gp / gj) + f.beta * f.m) / den
+    data = _sense_preserving_data(f, z)
+    s_phi = _as_complex(_phi_schwarzian(data.G_jet, data.H_jet))
+    return _schwarzian_kernel(data.omega, data.omega_d1, data.omega_d2, data.phi_logderiv, s_phi)
 
 
 def dbar_pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
@@ -315,7 +333,8 @@ def dbar_pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
     """
     z = complex(z)
     try:
-        om = _dilatation_jet(f, z)
+        hj = eval_jet(f.h, z)
+        om = _omega_jet(f, z, hj, eval_jet(f.g, z), hj.derivative())
     except ZeroDivisionError as exc:
         raise PoleEncountered(str(exc), point=z) from None
     w0, w1 = _as_complex(om.d0), _as_complex(om.d1)
@@ -330,13 +349,11 @@ def dbar_pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
 
 def dbar_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
     """d/dzbar of S_f in closed form (vanishes iff omega is constant)."""
-    data = local_data(f, z)
-    _require_sense_preserving(f, data)
-    p_phi, _ = _phi_pair(data)
+    data = _sense_preserving_data(f, z)
     denom = 1 - abs(data.omega) ** 2
     w1 = data.omega_d1
     return w1.conjugate() * (
-        (w1 * p_phi - data.omega_d2) / denom ** 2
+        (w1 * data.phi_logderiv - data.omega_d2) / denom ** 2
         - 3 * w1 ** 2 * data.omega.conjugate() / denom ** 3
     )
 
@@ -344,23 +361,25 @@ def dbar_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
 # -- analytic specializations --------------------------------------------
 
 
-def analytic_pre_schwarzian(e: Expr, z: complex) -> complex:
-    """e''/e' for an analytic expression."""
-    j = eval_jet(e, complex(z), order=2)
+def _analytic_jet(e: Expr, z: complex, order: int) -> tuple[complex, Jet]:
+    """(e'(z), jet of e at z); raises where e' vanishes."""
+    j = eval_jet(e, complex(z), order=order)
     d1 = _as_complex(j.d1)
     if d1 == 0:
         raise CriticalPoint("derivative vanishes", point=complex(z))
-    return _as_complex(j.d2) / d1
+    return d1, j
+
+
+def analytic_pre_schwarzian(e: Expr, z: complex) -> complex:
+    """e''/e' for an analytic expression."""
+    d1, j = _analytic_jet(e, z, 2)
+    return _analytic_pre_kernel(d1, _as_complex(j.d2))
 
 
 def analytic_schwarzian(e: Expr, z: complex) -> complex:
     """e'''/e' - (3/2)(e''/e')^2 for an analytic expression."""
-    j = eval_jet(e, complex(z), order=3)
-    d1 = _as_complex(j.d1)
-    if d1 == 0:
-        raise CriticalPoint("derivative vanishes", point=complex(z))
-    q = _as_complex(j.d2) / d1
-    return _as_complex(j.d3) / d1 - 1.5 * q ** 2
+    d1, j = _analytic_jet(e, z, 3)
+    return _analytic_schwarzian_kernel(d1, _as_complex(j.d2), _as_complex(j.d3))
 
 
 def hg_epsilon_pre_schwarzian(f: LogHarmonicMap, eps: complex, z: complex) -> complex:
@@ -373,17 +392,12 @@ def hg_epsilon_pre_schwarzian(f: LogHarmonicMap, eps: complex, z: complex) -> co
         raise ValueError("the h g^eps family is defined for m = 0 mappings")
     z = complex(z)
     eps = complex(eps)
-    hj = eval_jet(f.h, z)
-    gj = eval_jet(f.g, z)
-    hp = hj.derivative()
-    omega = (gj.derivative() * hj) / (hp * gj)
+    omega, G, H = _raw_local(f, z)
     w0, w1 = _as_complex(omega.d0), _as_complex(omega.d1)
-    den = 1 + eps * w0
-    if abs(den) < 1e-14:
+    if abs(1 + eps * w0) < 1e-14:
         raise DegenerateDenominator("1 + eps*omega vanished", point=z)
-    logg = _as_complex(gj.d1) / _as_complex(gj.d0)
-    logh2 = _as_complex(hp.d1) / _as_complex(hp.d0)
-    return logh2 + logg + (eps - 1) * logg + eps * w1 / den
+    g0, g1, hp0, hp1 = (_as_complex(c) for c in (G.d0, G.d1, H.d0, H.d1))
+    return _hg_kernel(eps, w0, w1, g0, g1, hp0, hp1)
 
 
 def compose_with_analytic(f: LogHarmonicMap, psi: Expr, z: complex) -> complex:
@@ -398,10 +412,12 @@ def compose_with_analytic(f: LogHarmonicMap, psi: Expr, z: complex) -> complex:
     w = _as_complex(pj.d0)
     if abs(w) >= 1:
         raise ValueError(f"psi(z) = {w} leaves the unit disk")
-    return pre_schwarzian(f, w) * p1 + _as_complex(pj.d2) / p1
+    return pre_schwarzian(f, w) * p1 + _analytic_pre_kernel(p1, _as_complex(pj.d2))
 
 
 # -- array-path field evaluators (grid sweeps) ---------------------------
+# Each takes a complex ndarray and returns one of the same shape, NaN where
+# the point is not evaluable.
 
 
 def _finite_or_nan(arr):
@@ -425,22 +441,18 @@ def _array_local(f: LogHarmonicMap, z: np.ndarray):
     return z, omega, G, H
 
 
+def _sense_preserving_field(v, w0, z):
+    return _field_array(np.where(np.abs(w0) < 1, v, np.nan + 1j * np.nan), z)
+
+
 def pre_schwarzian_field(f: LogHarmonicMap):
     """Vectorized z -> P_f(z); non-evaluable points come back NaN."""
 
     def field(z):
-        if not isinstance(z, np.ndarray):
-            try:
-                return pre_schwarzian(f, z)
-            except (PoleEncountered, NotSensePreserving, DegenerateDenominator, ZeroDivisionError):
-                return complex(np.nan, np.nan)
         with np.errstate(all="ignore"):
             z, omega, G, H = _array_local(f, z)
-            w0, w1 = omega.d0, omega.d1
-            denom = 1 - np.abs(w0) ** 2
-            p = G.d1 / G.d0 + H.d1 / H.d0 - np.conj(w0) * w1 / denom
-            p = np.where(np.abs(w0) < 1, p, np.nan + 1j * np.nan)
-        return _field_array(p, z)
+            p = _pre_kernel(omega.d0, omega.d1, _phi_logderiv(G, H))
+            return _sense_preserving_field(p, omega.d0, z)
 
     return field
 
@@ -449,60 +461,30 @@ def schwarzian_field(f: LogHarmonicMap):
     """Vectorized z -> S_f(z); non-evaluable points come back NaN."""
 
     def field(z):
-        if not isinstance(z, np.ndarray):
-            try:
-                return schwarzian(f, z)
-            except (PoleEncountered, NotSensePreserving, DegenerateDenominator, ZeroDivisionError):
-                return complex(np.nan, np.nan)
         with np.errstate(all="ignore"):
             z, omega, G, H = _array_local(f, z)
-            w0, w1, w2 = omega.d0, omega.d1, omega.d2
-            G0, G1, G2 = G.d0, G.d1, G.d2
-            H0, H1, H2 = H.d0, H.d1, H.d2
-            p_phi = G1 / G0 + H1 / H0
-            s_phi = (
-                G2 / G0
-                - 1.5 * (G1 / G0) ** 2
-                + H2 / H0
-                - 1.5 * (H1 / H0) ** 2
-                - (G1 * H1) / (G0 * H0)
+            s = _schwarzian_kernel(
+                omega.d0, omega.d1, omega.d2, _phi_logderiv(G, H), _phi_schwarzian(G, H)
             )
-            denom = 1 - np.abs(w0) ** 2
-            sigma = np.conj(w0) * w1 / denom
-            s = s_phi - 1.5 * sigma ** 2 + (np.conj(w0) / denom) * (w1 * p_phi - w2)
-            s = np.where(np.abs(w0) < 1, s, np.nan + 1j * np.nan)
-        return _field_array(s, z)
+            return _sense_preserving_field(s, omega.d0, z)
 
     return field
 
 
 def analytic_pre_schwarzian_field(e: Expr):
     def field(z):
-        if not isinstance(z, np.ndarray):
-            try:
-                return analytic_pre_schwarzian(e, z)
-            except (PoleEncountered, CriticalPoint, ZeroDivisionError):
-                return complex(np.nan, np.nan)
         with np.errstate(all="ignore"):
             j = eval_jet(e, z, order=2)
-            p = j.d2 / j.d1
-        return _field_array(p, z)
+            return _field_array(_analytic_pre_kernel(j.d1, j.d2), z)
 
     return field
 
 
 def analytic_schwarzian_field(e: Expr):
     def field(z):
-        if not isinstance(z, np.ndarray):
-            try:
-                return analytic_schwarzian(e, z)
-            except (PoleEncountered, CriticalPoint, ZeroDivisionError):
-                return complex(np.nan, np.nan)
         with np.errstate(all="ignore"):
             j = eval_jet(e, z, order=3)
-            q = j.d2 / j.d1
-            s = j.d3 / j.d1 - 1.5 * q ** 2
-        return _field_array(s, z)
+            return _field_array(_analytic_schwarzian_kernel(j.d1, j.d2, j.d3), z)
 
     return field
 
@@ -514,18 +496,9 @@ def hg_epsilon_field(f: LogHarmonicMap, eps: complex):
     eps = complex(eps)
 
     def field(z):
-        if not isinstance(z, np.ndarray):
-            try:
-                return hg_epsilon_pre_schwarzian(f, eps, z)
-            except (PoleEncountered, DegenerateDenominator, ZeroDivisionError):
-                return complex(np.nan, np.nan)
         with np.errstate(all="ignore"):
-            hj = eval_jet(f.h, z)
-            gj = eval_jet(f.g, z)
-            hp = hj.derivative()
-            omega = (gj.derivative() * hj) / (hp * gj)
-            logg = gj.d1 / gj.d0
-            p = hp.d1 / hp.d0 + logg + (eps - 1) * logg + eps * omega.d1 / (1 + eps * omega.d0)
-        return _field_array(p, z)
+            omega, G, H = _raw_local(f, z)
+            p = _hg_kernel(eps, omega.d0, omega.d1, G.d0, G.d1, H.d0, H.d1)
+            return _field_array(p, z)
 
     return field

@@ -8,16 +8,16 @@ a certified lower bound of the supremum: it is the weighted magnitude of
 the field at the reported argmax, re-evaluated scalar at the end.  No
 upper-bound certification is attempted.
 
-The sweep parallelizes over radial levels.  The reduction is performed in
-level order with a strict comparison and first-index tie-break inside each
-level, so results are bit-identical for any worker count.
+`level_walk` is the one grid walker: the norms and the criteria margins
+both reduce through it, in (r, theta) order with a strict comparison and a
+first-index tie-break, so every witness is deterministic.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,17 +37,6 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _INNER_RADIUS = 1e-3
 _PROBE_RADII = (1e-3, 1e-5, 1e-7)
 _DIVERGED_CEIL = 1e9
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("LOGHARM_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n >= 1:
-        return n
-    return min(8, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -91,18 +80,6 @@ def _radii(inner: float, r_max: float, n: int) -> np.ndarray:
     return 1.0 - (1.0 - inner) * ratio**k
 
 
-def _level_max(field, p: int, r: float, thetas: np.ndarray):
-    zs = r * np.exp(1j * thetas)
-    vals = np.abs(field(zs))
-    ok = np.isfinite(vals)
-    failed = int(vals.size - np.count_nonzero(ok))
-    if failed == vals.size:
-        return -math.inf, 0, failed
-    weighted = np.where(ok, vals, -math.inf) * ((1.0 - r * r) ** p)
-    j = int(np.argmax(weighted))
-    return float(weighted[j]), j, failed
-
-
 def _weighted_scalar(field, p: int, r: float, theta: float):
     z = complex(r * np.exp(1j * theta))
     v = field(np.array([z], dtype=complex))[0]
@@ -134,33 +111,55 @@ def _golden_max(fn, a: float, b: float, iters: int = 32):
     return best
 
 
-def _sweep(field, weight_power: int, grid: GridSpec, inner: float) -> NormEstimate:
+class Walk(NamedTuple):
+    """Best sample of a `level_walk` and the grid it was taken on."""
+
+    value: float
+    point: complex
+    level: int
+    theta: float
+    radii: np.ndarray
+    samples: int
+    failed: int
+
+
+def level_walk(level_fn, grid: GridSpec, inner: float = 0.0) -> Walk:
+    """Max of a real-valued per-level function over the polar grid.
+
+    ``level_fn(r, zs)`` gets one radial level r and its points
+    zs = r exp(i theta) and returns one real value per point; non-finite
+    values are skipped and counted as failed samples.  Levels run in order
+    of increasing r, and the reduction uses a strict comparison with the
+    first index winning ties, so the witness is deterministic.
+    """
     radii = _radii(inner, grid.r_max, grid.radial_levels)
-    full = np.arange(grid.angular_count) * (2.0 * math.pi / grid.angular_count)
-    origin_only = np.array([0.0])
-    levels = [(float(r), origin_only if r == 0.0 else full) for r in radii]
-
-    workers = _worker_count()
-    if workers <= 1 or len(levels) < 4:
-        results = [_level_max(field, weight_power, r, th) for r, th in levels]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda lv: _level_max(field, weight_power, lv[0], lv[1]), levels)
-            )
-
-    total = sum(len(th) for _, th in levels)
-    failed = sum(res[2] for res in results)
+    thetas = np.arange(grid.angular_count) * (2.0 * math.pi / grid.angular_count)
+    ring = np.exp(1j * thetas)
+    best = (-math.inf, 0j, 0, 0.0)
+    total = failed = 0
+    for i, r in enumerate(radii):
+        r = float(r)
+        zs = r * (ring[:1] if r == 0.0 else ring)  # the origin is a single sample
+        vals = np.asarray(level_fn(r, zs), dtype=float)
+        ok = np.isfinite(vals)
+        total += vals.size
+        failed += int(vals.size - np.count_nonzero(ok))
+        if not ok.any():
+            continue
+        j = int(np.argmax(np.where(ok, vals, -math.inf)))
+        if vals[j] > best[0]:
+            best = (float(vals[j]), complex(zs[j]), i, float(thetas[j]))
     if failed == total:
         raise AllSamplesFailed("every grid sample failed to evaluate")
+    return Walk(*best, radii, total, failed)
 
-    best_level, best_val, best_j = 0, -math.inf, 0
-    for i, (val, j, _) in enumerate(results):
-        if val > best_val:
-            best_level, best_val, best_j = i, val, j
 
+def _sweep(field, weight_power: int, grid: GridSpec, inner: float) -> NormEstimate:
+    walk = level_walk(
+        lambda r, zs: np.abs(field(zs)) * ((1.0 - r * r) ** weight_power), grid, inner
+    )
+    radii, best_level, best_val, th_best = walk.radii, walk.level, walk.value, walk.theta
     r_best = float(radii[best_level])
-    th_best = float(levels[best_level][1][best_j])
     refine_trace = [best_val]
 
     for _ in range(grid.refine_rounds):
@@ -197,9 +196,9 @@ def _sweep(field, weight_power: int, grid: GridSpec, inner: float) -> NormEstima
         value=value,
         argmax=argmax,
         grid=grid,
-        samples=total,
-        failed_samples=failed,
-        flagged=failed > 0.01 * total,
+        samples=walk.samples,
+        failed_samples=walk.failed,
+        flagged=walk.failed > 0.01 * walk.samples,
         refine_values=tuple(refine_trace),
     )
 
@@ -237,16 +236,7 @@ def _map_norm(field, weight_power: int, f: LogHarmonicMap, grid: GridSpec) -> No
     diverged = _origin_diverges(field)
     est = _sweep(field, weight_power, grid, inner=_INNER_RADIUS)
     if diverged:
-        est = NormEstimate(
-            value=est.value,
-            argmax=est.argmax,
-            grid=est.grid,
-            diverged=True,
-            samples=est.samples,
-            failed_samples=est.failed_samples,
-            flagged=est.flagged,
-            refine_values=est.refine_values,
-        )
+        est = dataclasses.replace(est, diverged=True)
     return est
 
 

@@ -6,9 +6,13 @@ identity-style property tests can sweep the whole family.
 """
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from logharm.maps import LogHarmonicMap
+from logharm.norms import GridSpec, _radii
 
 
 def build(name: str) -> LogHarmonicMap:
@@ -73,6 +77,19 @@ IDENTITY_SUITE = (
     "constant-dilatation",
     "complex-beta",
 )
+
+
+def one_call_reference(field, p: int, grid: GridSpec):
+    """The whole grid in one field call; first max in (r, theta) order."""
+    radii = _radii(0.0, grid.r_max, grid.radial_levels)
+    thetas = np.arange(grid.angular_count) * (2.0 * math.pi / grid.angular_count)
+    radii = [float(r) for r in radii]
+    rings = [r * np.exp(1j * (thetas[:1] if r == 0.0 else thetas)) for r in radii]
+    zs = np.concatenate(rings)
+    weights = np.concatenate([np.full(len(z), (1.0 - r * r) ** p) for r, z in zip(radii, rings)])
+    weighted = np.abs(field(zs)) * weights
+    k = int(np.argmax(np.where(np.isfinite(weighted), weighted, -math.inf)))
+    return float(weighted[k]), complex(zs[k])
 
 
 @pytest.fixture

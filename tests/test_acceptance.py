@@ -20,6 +20,7 @@ from logharm.criteria import (
 from logharm.expr import Mul, eval_jet, eval_value, parse
 from logharm.maps import (
     analytic_pre_schwarzian_field,
+    pre_schwarzian_field,
     compose_with_analytic,
     dbar_pre_schwarzian,
     dbar_schwarzian,
@@ -29,9 +30,16 @@ from logharm.maps import (
     schwarzian,
     wirtinger,
 )
-from logharm.norms import GridSpec, bloch_norm_log, pre_schwarzian_norm, schwarzian_norm, weighted_sup
+from logharm.norms import (
+    GridSpec,
+    bloch_norm_log,
+    level_walk,
+    pre_schwarzian_norm,
+    schwarzian_norm,
+    weighted_sup,
+)
 
-from conftest import IDENTITY_SUITE, build
+from conftest import IDENTITY_SUITE, build, one_call_reference
 
 FD = 1e-5
 GRID = GridSpec()  # default grid throughout; the tolerances below assume it
@@ -290,16 +298,23 @@ def test_criterion_8_composition_rule():
     )
 
 
-def test_criterion_9_worker_determinism(monkeypatch):
+def test_criterion_9_sweep_determinism():
     f = build("gap-five")
+    field = pre_schwarzian_field(f)
+    ref_value, ref_point = one_call_reference(field, 1, GRID)
+    walk = level_walk(lambda r, z: np.abs(field(z)) * (1.0 - r * r), GRID)
     results = []
-    for workers in ("1", "4", "8"):
-        monkeypatch.setenv("LOGHARM_THREADS", workers)
+    for _ in range(2):
         est = pre_schwarzian_norm(f, GRID)
         results.append((est.value, est.argmax, est.samples, est.refine_values))
-    ok = results[0] == results[1] == results[2]
+    ok = (
+        (walk.value, walk.point) == (ref_value, ref_point)
+        and results[0][3][0] == ref_value
+        and results[0] == results[1]
+    )
     _line(
         9,
         ok,
-        f"norm {results[0][0]!r} at {results[0][1]!r} identical across 1/4/8 workers: {ok}",
+        f"sampled max {ref_value!r} at {ref_point!r} equals the one-call reference; "
+        f"norm {results[0][0]!r} at {results[0][1]!r} identical across two runs: {ok}",
     )

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from logharm import fixtures
 from logharm.fixtures import (
     CheckRow,
     fixture_names,
@@ -64,3 +65,24 @@ def test_relative_tolerance_checks_use_relative_error():
     assert row.relative
     rel_err = abs(row.computed - row.expected) / abs(row.expected)
     assert rel_err <= row.tol
+
+
+@pytest.mark.parametrize(
+    "name, gap, a, b",
+    [
+        ("gap-one-sharp", "norm_gap", "pre_schwarzian_norm", "product_pre_schwarzian_norm"),
+        ("gap-five-sharp", "eps_norm_gap", "pre_schwarzian_norm", "member_pre_schwarzian_norm"),
+    ],
+)
+def test_gap_row_is_difference_of_sibling_rows(name, gap, a, b, monkeypatch):
+    calls = []
+    counted = fixtures.pre_schwarzian_norm
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(fixtures, "pre_schwarzian_norm", counting)
+    computed = {r.metric: r.computed for r in run_fixture(name, grid=RUN_GRID).rows}
+    assert computed[gap] == abs(computed[a] - computed[b])
+    assert len(calls) == 1  # the gap reuses the norm row instead of recomputing it

@@ -18,17 +18,22 @@ from logharm.expr import Div, Lit, Mul, Sub, Var, eval_jet, parse
 from logharm.maps import (
     LogHarmonicMap,
     analytic_pre_schwarzian,
+    analytic_pre_schwarzian_field,
     analytic_schwarzian,
+    analytic_schwarzian_field,
     compose_with_analytic,
     dbar_pre_schwarzian,
     dbar_schwarzian,
     dilatation,
+    hg_epsilon_field,
     hg_epsilon_pre_schwarzian,
     jacobian,
     map_value,
     phi_family,
     pre_schwarzian,
+    pre_schwarzian_field,
     schwarzian,
+    schwarzian_field,
     wirtinger,
 )
 
@@ -433,3 +438,84 @@ def test_compose_critical_point(gap_one):
         compose_with_analytic(gap_one, parse("z^2"), 0)
     with pytest.raises(ValueError):
         compose_with_analytic(gap_one, parse("2*z"), 0.7)  # leaves the disk
+
+
+# -- scalar operators against their field closures -----------------------
+
+_EVAL_ERRORS = (PoleEncountered, NotSensePreserving, DegenerateDenominator, CriticalPoint)
+
+
+def _operator_pairs(f):
+    """(label, scalar z -> value, field) for every operator with a field form."""
+    pairs = [
+        ("pre_schwarzian", lambda z: pre_schwarzian(f, z), pre_schwarzian_field(f)),
+        ("schwarzian", lambda z: schwarzian(f, z), schwarzian_field(f)),
+        ("analytic_pre_schwarzian", lambda z: analytic_pre_schwarzian(f.h, z),
+         analytic_pre_schwarzian_field(f.h)),
+        ("analytic_schwarzian", lambda z: analytic_schwarzian(f.h, z),
+         analytic_schwarzian_field(f.h)),
+    ]
+    if f.m == 0:
+        for eps in (1, -1, 0.5 - 0.25j):
+            pairs.append((
+                f"hg_epsilon_pre_schwarzian[{eps}]",
+                lambda z, eps=eps: hg_epsilon_pre_schwarzian(f, eps, z),
+                hg_epsilon_field(f, eps),
+            ))
+    return pairs
+
+
+def _field_at(field, z):
+    return complex(field(np.array([z], dtype=complex))[0])
+
+
+@pytest.mark.parametrize("name", IDENTITY_SUITE)
+def test_scalar_operators_match_fields(name):
+    # the benchmark's rule: 1e-12 relative, times the condition number
+    # 1/(1 - |omega|^2) of the omega terms.  Values that vanish by
+    # cancellation (the Schwarzian of a Moebius h, the h/g member of
+    # gap-five) carry no relative accuracy, so below modulus 1 the bound is
+    # absolute.
+    f = build(name)
+    rng = random.Random(f"parity:{name}")
+    pairs = _operator_pairs(f)
+    for z in _suite_points(name, rng, 20):
+        cond = 1.0 / (1.0 - abs(dilatation(f, z)) ** 2)
+        for label, scalar, field in pairs:
+            want = scalar(z)
+            got = _field_at(field, z)
+            scale = max(abs(want), abs(got), 1.0)
+            assert abs(want - got) <= 1e-12 * cond * scale, (label, z, want, got)
+
+
+def _raises(fn, z) -> bool:
+    try:
+        fn(z)
+    except _EVAL_ERRORS:
+        return True
+    return False
+
+
+def test_fields_are_nan_exactly_where_scalars_raise():
+    # maps with a point where P_f and S_f cannot be evaluated
+    bad_points = [(build(n), 0j) for n in IDENTITY_SUITE if build(n).m >= 1]  # origin, m >= 1
+    omega_2z = LogHarmonicMap.from_strings(0, 0, "exp(z)", "exp(z^2)")
+    bad_points.append((omega_2z, 0.6 + 0j))  # |omega| = 1.2
+    for f, bad in bad_points:
+        assert _raises(lambda z: pre_schwarzian(f, z), bad)
+        assert _raises(lambda z: schwarzian(f, z), bad)
+        for label, scalar, field in _operator_pairs(f):
+            for z in (bad, 0.3 + 0.1j):
+                assert _raises(scalar, z) == cmath.isnan(_field_at(field, z)), (label, z)
+    # omega = z on gap-five, so 1 + eps*omega vanishes at z = 1/2 for eps = -2
+    gap_five = build("gap-five")
+    assert _raises(lambda z: hg_epsilon_pre_schwarzian(gap_five, -2, z), 0.5)
+    assert cmath.isnan(_field_at(hg_epsilon_field(gap_five, -2), 0.5))
+    # z^2 has a critical point at the origin
+    crit = parse("z^2")
+    for scalar, make_field in (
+        (analytic_pre_schwarzian, analytic_pre_schwarzian_field),
+        (analytic_schwarzian, analytic_schwarzian_field),
+    ):
+        assert _raises(lambda z: scalar(crit, z), 0j)
+        assert cmath.isnan(_field_at(make_field(crit), 0j))

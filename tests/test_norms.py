@@ -8,17 +8,18 @@ import pytest
 
 from logharm.errors import AllSamplesFailed
 from logharm.expr import Mul, parse
-from logharm.maps import analytic_pre_schwarzian_field, pre_schwarzian_field
+from logharm.maps import analytic_pre_schwarzian_field, pre_schwarzian_field, schwarzian_field
 from logharm.norms import (
     GridSpec,
     bloch_norm_log,
+    level_walk,
     pre_schwarzian_norm,
     radial_profile,
     schwarzian_norm,
     weighted_sup,
 )
 
-from conftest import build
+from conftest import build, one_call_reference
 
 SMALL = GridSpec(radial_levels=60, angular_count=64, refine_rounds=2)
 
@@ -114,14 +115,24 @@ def test_refinement_monotone(gap_one):
     assert est.value >= est.refine_values[0]
 
 
-def test_determinism_across_workers(gap_five, monkeypatch):
+@pytest.mark.parametrize(
+    "name, make_field, p",
+    [("gap-five", pre_schwarzian_field, 1), ("koebe", schwarzian_field, 2)],
+)
+def test_sweep_matches_one_call_reference(name, make_field, p):
     grid = GridSpec(radial_levels=40, angular_count=64, refine_rounds=1)
-    outcomes = []
-    for n in ("1", "4", "8"):
-        monkeypatch.setenv("LOGHARM_THREADS", n)
-        est = pre_schwarzian_norm(gap_five, grid)
-        outcomes.append((est.value, est.argmax, est.refine_values))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    f = build(name)
+    field = make_field(f)
+    ref_value, ref_point = one_call_reference(field, p, grid)
+    walk = level_walk(lambda r, zs: np.abs(field(zs)) * ((1.0 - r * r) ** p), grid)
+    assert (walk.value, walk.point) == (ref_value, ref_point)
+    norm = pre_schwarzian_norm if p == 1 else schwarzian_norm
+    runs = []
+    for _ in range(2):
+        est = norm(f, grid)
+        runs.append((est.value, est.argmax, est.samples, est.refine_values))
+    assert runs[0][3][0] == ref_value
+    assert runs[0] == runs[1]
 
 
 def test_resolution_doubling_stability(gap_five):
