@@ -4,7 +4,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from logharm import LogHarmonicMap, RenderJob, parse, render_image
+from logharm import RenderJob, load_fixture, parse, render_image
 
 
 def main() -> int:
@@ -21,18 +21,8 @@ def main() -> int:
     jobs = [
         ("dilatation-self-map.ppm", parse("(2-3*z)/(3-2*z)"), "ppm", False),
         ("koebe.ppm", parse("z/(1-z)^2"), "ppm", False),
-        (
-            "vanishing-field.ppm",
-            LogHarmonicMap.from_strings(1, 2, "1/(1-z)", "1-z"),
-            "ppm",
-            True,
-        ),
-        (
-            "halfplane-cloud.csv",
-            LogHarmonicMap.from_strings(1, 0, "exp(z/(1-z))/(1-z)", "exp(z/(1-z))"),
-            "csv",
-            False,
-        ),
+        ("vanishing-field.ppm", load_fixture("starlike-vanishing").map, "ppm", True),
+        ("halfplane-cloud.csv", load_fixture("logharmonic-halfplane").map, "csv", False),
     ]
     for name, target, fmt, colored in jobs:
         job = RenderJob(

@@ -22,6 +22,7 @@ from .maps import (
     _pre_kernel,
     _raw_local,
     analytic_pre_schwarzian_field,
+    as_field,
     analytic_schwarzian_field,
     hg_epsilon_field,
 )
@@ -52,7 +53,7 @@ def _worst_margin(margin_field, grid: GridSpec, inner: float = 0.0):
     reported margin to its witness and is the certificate of a fail.
     """
     walk = level_walk(lambda r, zs: margin_field(zs), grid, inner)
-    re_eval = float(np.asarray(margin_field(np.array([walk.point])), dtype=float)[0])
+    re_eval = float(margin_field(np.array([walk.point]))[0])
     worst = re_eval if math.isfinite(re_eval) else walk.value
     return worst, walk.point, walk.samples, walk.failed
 
@@ -116,18 +117,14 @@ def schwarz_pick_check(omega: Expr, grid: GridSpec | None = None) -> CheckReport
     max_mod = [0.0]
 
     def margin(z):
-        z = np.asarray(z, dtype=complex)
-        with np.errstate(all="ignore"):
-            j = eval_jet(omega, z, order=1)
-            w0 = np.broadcast_to(np.asarray(j.d0, dtype=complex), z.shape)
-            w1 = np.broadcast_to(np.asarray(j.d1, dtype=complex), z.shape)
-            m = np.abs(w1) * (1.0 - np.abs(z) ** 2) - (1.0 - np.abs(w0) ** 2)
-            mods = np.abs(w0)[np.isfinite(w0)]
-            if mods.size:
-                max_mod[0] = max(max_mod[0], float(np.max(mods)))
-        return np.where(np.isfinite(m), m, np.nan)
+        j = eval_jet(omega, z, order=1)
+        w0, w1 = j.d0, j.d1
+        mods = np.abs(w0)[np.isfinite(w0)]
+        if mods.size:
+            max_mod[0] = max(max_mod[0], float(np.max(mods)))
+        return np.abs(w1) * (1.0 - np.abs(z) ** 2) - (1.0 - np.abs(w0) ** 2)
 
-    worst, point, total, failed = _worst_margin(margin, grid)
+    worst, point, total, failed = _worst_margin(as_field(margin, real=True), grid)
     ok = worst <= SAMPLE_SLACK
     return CheckReport(
         verdict="pass" if ok else "fail",
@@ -149,21 +146,18 @@ def _a5_margin_field(f: LogHarmonicMap, eps: complex):
     one_minus = abs(1 - eps)
 
     def margin(z):
-        z = np.asarray(z, dtype=complex)
-        with np.errstate(all="ignore"):
-            omega, G, H = _raw_local(f, z)
-            w0, w1 = omega.d0, omega.d1
-            pf = _pre_kernel(w0, w1, _phi_logderiv(G, H))
-            lhs = (
-                np.abs(z * pf)
-                + one_minus * np.abs(z * (G.d1 / G.d0))
-                + np.abs(z * w1) / (1.0 - np.abs(w0) ** 2)
-            )
-            m = (1.0 - np.abs(z) ** 2) * lhs - 1.0
-            m = np.where(np.abs(w0) < 1, m, np.nan)
-        return np.where(np.isfinite(m), m, np.nan)
+        omega, G, H = _raw_local(f, z)
+        w0, w1 = omega.d0, omega.d1
+        pf = _pre_kernel(w0, w1, _phi_logderiv(G, H))
+        lhs = (
+            np.abs(z * pf)
+            + one_minus * np.abs(z * (G.d1 / G.d0))
+            + np.abs(z * w1) / (1.0 - np.abs(w0) ** 2)
+        )
+        m = (1.0 - np.abs(z) ** 2) * lhs - 1.0
+        return np.where(np.abs(w0) < 1, m, np.nan)
 
-    return margin
+    return as_field(margin, real=True)
 
 
 def hg_epsilon_univalence_check(
@@ -310,27 +304,18 @@ def _starlike_margin_field(f: LogHarmonicMap):
     bm = f.beta * f.m
 
     def margin(z):
-        z = np.asarray(z, dtype=complex)
-        with np.errstate(all="ignore"):
-            hj = eval_jet(f.h, z, order=1)
-            gj = eval_jet(f.g, z, order=1)
-            h0 = np.broadcast_to(np.asarray(hj.d0, dtype=complex), z.shape)
-            g0 = np.broadcast_to(np.asarray(gj.d0, dtype=complex), z.shape)
-            small = np.fmin(np.abs(h0), np.abs(g0))
-            if np.any(small[np.isfinite(small)] < 1e-12):
-                k = int(np.argmin(np.where(np.isfinite(small), small, np.inf)))
-                raise ZeroEncountered(
-                    "the map vanishes away from the origin", point=complex(z[k])
-                )
-            val = (
-                (1 + f.beta) * f.m
-                + z * hj.d1 / h0
-                - np.conj(bm + z * gj.d1 / g0)
+        hj = eval_jet(f.h, z, order=1)
+        gj = eval_jet(f.g, z, order=1)
+        small = np.fmin(np.abs(hj.d0), np.abs(gj.d0))
+        if np.any(small < 1e-12):
+            k = int(np.nanargmin(small))
+            raise ZeroEncountered(
+                "the map vanishes away from the origin", point=complex(z.flat[k])
             )
-            m = -np.real(val)
-        return np.where(np.isfinite(m), m, np.nan)
+        val = (1 + f.beta) * f.m + z * hj.d1 / hj.d0 - np.conj(bm + z * gj.d1 / gj.d0)
+        return -np.real(val)
 
-    return margin
+    return as_field(margin, real=True)
 
 
 def starlike_check(f: LogHarmonicMap, grid: GridSpec | None = None) -> CheckReport:
@@ -371,17 +356,11 @@ def associated_starlike(
     phi = Div(Mul(Var(), f.h), f.g)
 
     def margin(z):
-        z = np.asarray(z, dtype=complex)
-        with np.errstate(all="ignore"):
-            hj = eval_jet(f.h, z, order=1)
-            gj = eval_jet(f.g, z, order=1)
-            h0 = np.broadcast_to(np.asarray(hj.d0, dtype=complex), z.shape)
-            g0 = np.broadcast_to(np.asarray(gj.d0, dtype=complex), z.shape)
-            val = 1.0 + z * hj.d1 / h0 - z * gj.d1 / g0
-            m = -np.real(val)
-        return np.where(np.isfinite(m), m, np.nan)
+        hj = eval_jet(f.h, z, order=1)
+        gj = eval_jet(f.g, z, order=1)
+        return -np.real(1.0 + z * hj.d1 / hj.d0 - z * gj.d1 / gj.d0)
 
-    worst, point, total, failed = _worst_margin(margin, grid, inner=_INNER)
+    worst, point, total, failed = _worst_margin(as_field(margin, real=True), grid, inner=_INNER)
     ok = worst <= SAMPLE_SLACK
     report = CheckReport(
         verdict="pass" if ok else "fail",

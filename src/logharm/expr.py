@@ -331,7 +331,7 @@ def eval_jet(e: Expr, p, order: int = 3) -> Jet:
     """Value and derivatives of the expression at p, as an order-``order`` jet.
 
     p may be a complex scalar (pole conditions raise) or a numpy array of
-    points (evaluate under ``np.errstate`` and mask non-finite entries).
+    points (lift the formula with ``maps.as_field`` to mask non-finite entries).
     """
     try:
         return _eval(e, Jet.variable(p, order))

@@ -10,8 +10,9 @@ one pass, without symbolic differentiation or finite differences.
 Coefficients may be Python complex scalars or numpy arrays; mixing the two
 broadcasts elementwise, which is what the grid-sweep code relies on.  On
 the scalar path a vanishing denominator (division, log, negative power)
-raises :class:`PoleEncountered`; on the array path the caller is expected
-to run under ``np.errstate`` and mask non-finite entries afterwards.
+raises :class:`PoleEncountered`; array formulas are lifted by
+``maps.as_field``, which silences numpy warnings and masks non-finite
+entries.
 """
 from __future__ import annotations
 
@@ -222,9 +223,6 @@ class Jet:
         if isinstance(other, _NUMERIC) or isinstance(other, np.generic):
             return (self.log() * other).exp()
         return NotImplemented
-
-    def map_coeffs(self, fn) -> "Jet":
-        return Jet(tuple(fn(c) for c in self.coeffs))
 
     def __repr__(self) -> str:
         return f"Jet({', '.join(repr(c) for c in self.coeffs)})"

@@ -49,10 +49,6 @@ from .jets import Jet, zpow_jet, zpow_value
 ORIGIN_RADIUS = 1e-8  # derivative ops for m >= 1 stay outside this disk
 
 
-def _as_complex(value) -> complex:
-    return complex(value)
-
-
 @dataclass(frozen=True)
 class LogHarmonicMap:
     """Representation data (m, b, h, g) of a log-harmonic mapping."""
@@ -69,8 +65,8 @@ class LogHarmonicMap:
         object.__setattr__(self, "beta", beta)
         if beta.real <= -0.5:
             raise ValueError(f"Re(beta) must exceed -1/2, got {beta}")
-        h0 = _as_complex(eval_jet(self.h, 0j, order=1).d0)
-        g0 = _as_complex(eval_jet(self.g, 0j, order=1).d0)
+        h0 = complex(eval_jet(self.h, 0j, order=1).d0)
+        g0 = complex(eval_jet(self.g, 0j, order=1).d0)
         if self.m >= 1:
             if abs(g0 - 1) > 1e-9:
                 raise ValueError(f"g(0) must be 1 for m >= 1, got {g0}")
@@ -79,7 +75,7 @@ class LogHarmonicMap:
         else:
             if abs(g0) <= 1e-12:
                 raise ValueError("g(0) must be nonzero for m = 0")
-            h1 = _as_complex(eval_jet(self.h, 0j, order=1).d1)
+            h1 = complex(eval_jet(self.h, 0j, order=1).d1)
             if abs(h0) <= 1e-12 and abs(h1) <= 1e-12:
                 # h may vanish at 0 only simply (local univalence of h)
                 raise ValueError("h must have h(0) != 0 or h'(0) != 0 for m = 0")
@@ -87,10 +83,6 @@ class LogHarmonicMap:
     @classmethod
     def from_strings(cls, m: int, beta, h: str, g: str) -> "LogHarmonicMap":
         return cls(m, complex(beta), parse(h), parse(g))
-
-    @property
-    def is_vanishing(self) -> bool:
-        return self.m >= 1
 
 
 @dataclass(frozen=True)
@@ -140,7 +132,7 @@ def _raw_local(f: LogHarmonicMap, z):
 
 
 def _checked_denominator(f: LogHarmonicMap, z: complex, hj: Jet) -> complex:
-    den = (f.beta + 1) * f.m + z * _as_complex(hj.d1) / _as_complex(hj.d0)
+    den = (f.beta + 1) * f.m + z * complex(hj.d1) / complex(hj.d0)
     if abs(den) < 1e-14:
         raise DegenerateDenominator("(beta+1)m + z h'/h vanished", point=z)
     return den
@@ -209,12 +201,12 @@ def local_data(f: LogHarmonicMap, z: complex) -> LocalData:
     omega, G, H = _raw_local(f, z)
     data = LocalData(
         z=z,
-        omega=_as_complex(omega.d0),
-        omega_d1=_as_complex(omega.d1),
-        omega_d2=_as_complex(omega.d2),
+        omega=complex(omega.d0),
+        omega_d1=complex(omega.d1),
+        omega_d2=complex(omega.d2),
         G_jet=G,
         H_jet=H,
-        phi_logderiv=_as_complex(_phi_logderiv(G, H)),
+        phi_logderiv=complex(_phi_logderiv(G, H)),
     )
     for v in (data.omega, data.omega_d1, data.omega_d2, data.phi_logderiv):
         if not np.isfinite(v):
@@ -240,11 +232,11 @@ def dilatation(f: LogHarmonicMap, z: complex) -> complex:
     hj = eval_jet(f.h, z, order=1)
     gj = eval_jet(f.g, z, order=1)
     if f.m == 0:
-        den = _as_complex(hj.d1) * _as_complex(gj.d0)
+        den = complex(hj.d1) * complex(gj.d0)
         if den == 0:
             raise DegenerateDenominator("h' g vanished", point=z)
-        return _as_complex(gj.d1) * _as_complex(hj.d0) / den
-    num = z * _as_complex(gj.d1) / _as_complex(gj.d0) + f.beta * f.m
+        return complex(gj.d1) * complex(hj.d0) / den
+    num = z * complex(gj.d1) / complex(gj.d0) + f.beta * f.m
     return num / _checked_denominator(f, z, hj)
 
 
@@ -254,13 +246,13 @@ def jacobian(f: LogHarmonicMap, z: complex) -> float:
     z = complex(z)
     if f.m >= 1 and z == 0:
         w = (2 * f.beta + 1) * f.m - 1
-        G0 = zpow_value(0j, w) * _as_complex(eval_jet(f.g, 0j, order=0).d0)
-        H0 = (f.beta + 1) * f.m * _as_complex(eval_jet(f.h, 0j, order=0).d0)
+        G0 = zpow_value(0j, w) * complex(eval_jet(f.g, 0j, order=0).d0)
+        H0 = (f.beta + 1) * f.m * complex(eval_jet(f.h, 0j, order=0).d0)
         om = dilatation(f, 0j)
         return float(abs(H0 * G0) ** 2 * (1 - abs(om) ** 2))
     omega, G, H = _raw_local(f, z)
-    w0 = _as_complex(omega.d0)
-    return float(abs(_as_complex(H.d0) * _as_complex(G.d0)) ** 2 * (1 - abs(w0) ** 2))
+    w0 = complex(omega.d0)
+    return float(abs(complex(H.d0) * complex(G.d0)) ** 2 * (1 - abs(w0) ** 2))
 
 
 def map_value(f: LogHarmonicMap, z):
@@ -276,8 +268,8 @@ def map_value(f: LogHarmonicMap, z):
         val = np.exp(a * logz) * hv * np.conj(np.exp(b * logz) * gv)
         return np.where(z == 0, 0j, val)  # Re((b+1)m) > m/2 > 0 forces the limit 0
     z = complex(z)
-    hv = _as_complex(eval_jet(f.h, z, order=0).d0)
-    gv = _as_complex(eval_jet(f.g, z, order=0).d0)
+    hv = complex(eval_jet(f.h, z, order=0).d0)
+    gv = complex(eval_jet(f.g, z, order=0).d0)
     if f.m == 0:
         return hv * gv.conjugate()
     zp = zpow_value(z, (f.beta + 1) * f.m)
@@ -290,8 +282,8 @@ def wirtinger(f: LogHarmonicMap, z: complex) -> tuple[complex, complex, complex]
     z = complex(z)
     hj = eval_jet(f.h, z, order=1)
     gj = eval_jet(f.g, z, order=1)
-    h0, h1 = _as_complex(hj.d0), _as_complex(hj.d1)
-    g0, g1 = _as_complex(gj.d0), _as_complex(gj.d1)
+    h0, h1 = complex(hj.d0), complex(hj.d1)
+    g0, g1 = complex(gj.d0), complex(gj.d1)
     if f.m == 0:
         return h1 * g0.conjugate(), h0 * g1.conjugate(), h0 * g0.conjugate()
     beta, m = f.beta, f.m
@@ -315,13 +307,13 @@ def pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
 def phi_family(f: LogHarmonicMap, z: complex) -> tuple[complex, complex]:
     """(P, S) of the analytic function with derivative H*G (never integrated)."""
     data = local_data(f, z)
-    return data.phi_logderiv, _as_complex(_phi_schwarzian(data.G_jet, data.H_jet))
+    return data.phi_logderiv, complex(_phi_schwarzian(data.G_jet, data.H_jet))
 
 
 def schwarzian(f: LogHarmonicMap, z: complex) -> complex:
     """S_f = dP_f/dz - P_f^2 / 2, in closed form."""
     data = _sense_preserving_data(f, z)
-    s_phi = _as_complex(_phi_schwarzian(data.G_jet, data.H_jet))
+    s_phi = complex(_phi_schwarzian(data.G_jet, data.H_jet))
     return _schwarzian_kernel(data.omega, data.omega_d1, data.omega_d2, data.phi_logderiv, s_phi)
 
 
@@ -337,7 +329,7 @@ def dbar_pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
         om = _omega_jet(f, z, hj, eval_jet(f.g, z), hj.derivative())
     except ZeroDivisionError as exc:
         raise PoleEncountered(str(exc), point=z) from None
-    w0, w1 = _as_complex(om.d0), _as_complex(om.d1)
+    w0, w1 = complex(om.d0), complex(om.d1)
     if not (np.isfinite(w0) and np.isfinite(w1)):
         raise PoleEncountered("non-finite dilatation jet", point=z)
     mod = abs(w0)
@@ -364,7 +356,7 @@ def dbar_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
 def _analytic_jet(e: Expr, z: complex, order: int) -> tuple[complex, Jet]:
     """(e'(z), jet of e at z); raises where e' vanishes."""
     j = eval_jet(e, complex(z), order=order)
-    d1 = _as_complex(j.d1)
+    d1 = complex(j.d1)
     if d1 == 0:
         raise CriticalPoint("derivative vanishes", point=complex(z))
     return d1, j
@@ -373,13 +365,13 @@ def _analytic_jet(e: Expr, z: complex, order: int) -> tuple[complex, Jet]:
 def analytic_pre_schwarzian(e: Expr, z: complex) -> complex:
     """e''/e' for an analytic expression."""
     d1, j = _analytic_jet(e, z, 2)
-    return _analytic_pre_kernel(d1, _as_complex(j.d2))
+    return _analytic_pre_kernel(d1, complex(j.d2))
 
 
 def analytic_schwarzian(e: Expr, z: complex) -> complex:
     """e'''/e' - (3/2)(e''/e')^2 for an analytic expression."""
     d1, j = _analytic_jet(e, z, 3)
-    return _analytic_schwarzian_kernel(d1, _as_complex(j.d2), _as_complex(j.d3))
+    return _analytic_schwarzian_kernel(d1, complex(j.d2), complex(j.d3))
 
 
 def hg_epsilon_pre_schwarzian(f: LogHarmonicMap, eps: complex, z: complex) -> complex:
@@ -393,10 +385,10 @@ def hg_epsilon_pre_schwarzian(f: LogHarmonicMap, eps: complex, z: complex) -> co
     z = complex(z)
     eps = complex(eps)
     omega, G, H = _raw_local(f, z)
-    w0, w1 = _as_complex(omega.d0), _as_complex(omega.d1)
+    w0, w1 = complex(omega.d0), complex(omega.d1)
     if abs(1 + eps * w0) < 1e-14:
         raise DegenerateDenominator("1 + eps*omega vanished", point=z)
-    g0, g1, hp0, hp1 = (_as_complex(c) for c in (G.d0, G.d1, H.d0, H.d1))
+    g0, g1, hp0, hp1 = (complex(c) for c in (G.d0, G.d1, H.d0, H.d1))
     return _hg_kernel(eps, w0, w1, g0, g1, hp0, hp1)
 
 
@@ -406,87 +398,90 @@ def compose_with_analytic(f: LogHarmonicMap, psi: Expr, z: complex) -> complex:
         raise ValueError("composition is supported for m = 0 mappings")
     z = complex(z)
     pj = eval_jet(psi, z, order=2)
-    p1 = _as_complex(pj.d1)
+    p1 = complex(pj.d1)
     if p1 == 0:
         raise CriticalPoint("psi' vanishes", point=z)
-    w = _as_complex(pj.d0)
+    w = complex(pj.d0)
     if abs(w) >= 1:
         raise ValueError(f"psi(z) = {w} leaves the unit disk")
-    return pre_schwarzian(f, w) * p1 + _analytic_pre_kernel(p1, _as_complex(pj.d2))
+    return pre_schwarzian(f, w) * p1 + _analytic_pre_kernel(p1, complex(pj.d2))
 
 
 # -- array-path field evaluators (grid sweeps) ---------------------------
-# Each takes a complex ndarray and returns one of the same shape, NaN where
-# the point is not evaluable.
 
 
-def _finite_or_nan(arr):
-    return np.where(np.isfinite(arr), arr, np.nan + 1j * np.nan)
+def as_field(formula, real: bool = False):
+    """Lift an array formula to a field: the one place that decides shape,
+    warnings and NaN.
 
+    The field takes any complex array z and returns formula(z) with the shape
+    of z, without numpy warnings, and NaN wherever a value is not finite:
+    nan+nanj for complex fields, nan for real margins (``real=True``).  Jet
+    coefficients that do not depend on z stay scalars inside the formula and
+    are broadcast here.  A ZeroDivisionError can only come from such a scalar
+    divisor, so it makes the whole field NaN.
+    """
+    dtype, nan = (float, np.nan) if real else (complex, np.nan + 1j * np.nan)
 
-def _field_array(v, z):
-    # constant subexpressions evaluate to scalar jets; keep field output
-    # shaped like its input
-    v = np.asarray(v, dtype=complex)
-    if v.shape != z.shape:
-        v = np.broadcast_to(v, z.shape)
-    return _finite_or_nan(v)
+    def field(z):
+        z = np.asarray(z, dtype=complex)
+        with np.errstate(all="ignore"):
+            try:
+                v = np.asarray(formula(z), dtype=dtype)
+            except ZeroDivisionError:
+                v = np.asarray(nan)
+            if v.shape != z.shape:
+                v = np.broadcast_to(v, z.shape)
+            return np.where(np.isfinite(v), v, nan)
+
+    return field
 
 
 def _array_local(f: LogHarmonicMap, z: np.ndarray):
-    z = np.asarray(z, dtype=complex)
+    """`_raw_local` on an array, with the origin masked out when m >= 1."""
     if f.m >= 1:
         z = np.where(np.abs(z) < ORIGIN_RADIUS, np.nan + 1j * np.nan, z)
-    omega, G, H = _raw_local(f, z)
-    return z, omega, G, H
-
-
-def _sense_preserving_field(v, w0, z):
-    return _field_array(np.where(np.abs(w0) < 1, v, np.nan + 1j * np.nan), z)
+    return _raw_local(f, z)
 
 
 def pre_schwarzian_field(f: LogHarmonicMap):
     """Vectorized z -> P_f(z); non-evaluable points come back NaN."""
 
-    def field(z):
-        with np.errstate(all="ignore"):
-            z, omega, G, H = _array_local(f, z)
-            p = _pre_kernel(omega.d0, omega.d1, _phi_logderiv(G, H))
-            return _sense_preserving_field(p, omega.d0, z)
+    def formula(z):
+        omega, G, H = _array_local(f, z)
+        p = _pre_kernel(omega.d0, omega.d1, _phi_logderiv(G, H))
+        return np.where(np.abs(omega.d0) < 1, p, np.nan)
 
-    return field
+    return as_field(formula)
 
 
 def schwarzian_field(f: LogHarmonicMap):
     """Vectorized z -> S_f(z); non-evaluable points come back NaN."""
 
-    def field(z):
-        with np.errstate(all="ignore"):
-            z, omega, G, H = _array_local(f, z)
-            s = _schwarzian_kernel(
-                omega.d0, omega.d1, omega.d2, _phi_logderiv(G, H), _phi_schwarzian(G, H)
-            )
-            return _sense_preserving_field(s, omega.d0, z)
+    def formula(z):
+        omega, G, H = _array_local(f, z)
+        s = _schwarzian_kernel(
+            omega.d0, omega.d1, omega.d2, _phi_logderiv(G, H), _phi_schwarzian(G, H)
+        )
+        return np.where(np.abs(omega.d0) < 1, s, np.nan)
 
-    return field
+    return as_field(formula)
 
 
 def analytic_pre_schwarzian_field(e: Expr):
-    def field(z):
-        with np.errstate(all="ignore"):
-            j = eval_jet(e, z, order=2)
-            return _field_array(_analytic_pre_kernel(j.d1, j.d2), z)
+    def formula(z):
+        j = eval_jet(e, z, order=2)
+        return _analytic_pre_kernel(j.d1, j.d2)
 
-    return field
+    return as_field(formula)
 
 
 def analytic_schwarzian_field(e: Expr):
-    def field(z):
-        with np.errstate(all="ignore"):
-            j = eval_jet(e, z, order=3)
-            return _field_array(_analytic_schwarzian_kernel(j.d1, j.d2, j.d3), z)
+    def formula(z):
+        j = eval_jet(e, z, order=3)
+        return _analytic_schwarzian_kernel(j.d1, j.d2, j.d3)
 
-    return field
+    return as_field(formula)
 
 
 def hg_epsilon_field(f: LogHarmonicMap, eps: complex):
@@ -495,10 +490,8 @@ def hg_epsilon_field(f: LogHarmonicMap, eps: complex):
         raise ValueError("the h g^eps family is defined for m = 0 mappings")
     eps = complex(eps)
 
-    def field(z):
-        with np.errstate(all="ignore"):
-            omega, G, H = _raw_local(f, z)
-            p = _hg_kernel(eps, omega.d0, omega.d1, G.d0, G.d1, H.d0, H.d1)
-            return _field_array(p, z)
+    def formula(z):
+        omega, G, H = _raw_local(f, z)
+        return _hg_kernel(eps, omega.d0, omega.d1, G.d0, G.d1, H.d0, H.d1)
 
-    return field
+    return as_field(formula)

@@ -23,12 +23,7 @@ import numpy as np
 
 from .errors import AllSamplesFailed
 from .expr import Expr, eval_jet
-from .maps import (
-    LogHarmonicMap,
-    pre_schwarzian_field,
-    schwarzian_field,
-    _field_array,
-)
+from .maps import LogHarmonicMap, as_field, pre_schwarzian_field, schwarzian_field
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -251,14 +246,11 @@ def schwarzian_norm(f: LogHarmonicMap, grid: GridSpec | None = None) -> NormEsti
 def logderiv_field(e: Expr):
     """Vectorized z -> e'(z)/e(z), NaN where not evaluable."""
 
-    def field(z):
-        z = np.asarray(z, dtype=complex)
-        with np.errstate(all="ignore"):
-            j = eval_jet(e, z, order=1)
-            v = j.d1 / j.d0
-        return _field_array(v, z)
+    def formula(z):
+        j = eval_jet(e, z, order=1)
+        return j.d1 / j.d0
 
-    return field
+    return as_field(formula)
 
 
 def bloch_norm_log(g: Expr, grid: GridSpec | None = None) -> NormEstimate:
@@ -282,7 +274,8 @@ def radial_profile(
 
     When the tail of the table is non-decreasing, the supremum is being
     approached at the boundary and a linear extrapolation to r = 1 is
-    reported as `boundary_estimate`.
+    reported as `boundary_estimate`.  Raises `AllSamplesFailed` when no
+    sample is finite.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
@@ -295,6 +288,8 @@ def radial_profile(
         for r, w in zip(rs, weighted)
         if math.isfinite(w)
     ]
+    if not rows:
+        raise AllSamplesFailed("every profile sample failed to evaluate")
     tail = rows[-max(8, len(rows) // 8):]
     monotone = len(tail) >= 2 and all(
         b[1] >= a[1] - 1e-12 for a, b in zip(tail, tail[1:])

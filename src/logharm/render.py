@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AllSamplesFailed, IoFailure
-from .expr import Expr, eval_jet
+from .expr import Expr, eval_value
 from .maps import (
     LogHarmonicMap,
-    _field_array,
     analytic_pre_schwarzian_field,
+    as_field,
     map_value,
     pre_schwarzian_field,
 )
@@ -77,12 +77,8 @@ def mesh_points(resolution: tuple[int, int], r_max: float) -> np.ndarray:
 
 def eval_target(target: Expr | LogHarmonicMap, z: np.ndarray) -> np.ndarray:
     """Vectorized image points; non-evaluable mesh points come back NaN."""
-    with np.errstate(all="ignore"):
-        if isinstance(target, LogHarmonicMap):
-            w = map_value(target, z)
-        else:
-            w = eval_jet(target, z, order=0).d0
-    return _field_array(w, z)
+    image = map_value if isinstance(target, LogHarmonicMap) else eval_value
+    return as_field(lambda z: image(target, z))(z)
 
 
 def _weighted_field(target: Expr | LogHarmonicMap):

@@ -77,7 +77,7 @@ def _ring_samples():
 
 
 def test_criterion_1_unit_gap_sharp_pair():
-    f = build("gap-one")
+    f = build("gap-one-sharp")
     t0 = time.perf_counter()
     norm_f = pre_schwarzian_norm(f, GRID).value
     t1 = time.perf_counter()
@@ -100,7 +100,7 @@ def test_criterion_1_unit_gap_sharp_pair():
 
 
 def test_criterion_2_gap_five_sharp_pair():
-    f = build("gap-five")
+    f = build("gap-five-sharp")
     norm_f = pre_schwarzian_norm(f, GRID).value
     member = weighted_sup(hg_epsilon_field(f, -1), 1, GRID).value
     blog = bloch_norm_log(f.g, GRID).value
@@ -129,7 +129,7 @@ def _interior_max_closed_form(a: float) -> float:
 def test_criterion_3_mobius_family_closed_form():
     assert abs(_interior_max_closed_form(0.6) - 31 / 9) < 1e-12
     values = {}
-    for a, name in ((0.6, "mobius-a60"), (0.9, "mobius-a90"), (0.99, "mobius-a99")):
+    for a, name in ((0.6, "mobius-gap-a60"), (0.9, "mobius-gap-a90"), (0.99, "mobius-gap-a99")):
         target = _interior_max_closed_form(a)
         got = pre_schwarzian_norm(build(name), GRID).value
         values[a] = (got, target, abs(got - target) / target)
@@ -277,7 +277,7 @@ def test_criterion_8_composition_rule():
     worst = 0.0
     for psi_text in _AUTOMORPHISMS:
         psi = parse(psi_text)
-        for name in ("gap-one", "mobius-a60", "constant-dilatation"):
+        for name in ("gap-one-sharp", "mobius-gap-a60", "constant-dilatation"):
             f = build(name)
             for z in _points(rng, 20, rmax=0.55):
                 got = compose_with_analytic(f, psi, z)
@@ -299,7 +299,7 @@ def test_criterion_8_composition_rule():
 
 
 def test_criterion_9_sweep_determinism():
-    f = build("gap-five")
+    f = build("gap-five-sharp")
     field = pre_schwarzian_field(f)
     ref_value, ref_point = one_call_reference(field, 1, GRID)
     walk = level_walk(lambda r, z: np.abs(field(z)) * (1.0 - r * r), GRID)

@@ -104,6 +104,17 @@ def test_eval_pole_is_structured_error(capsys):
     payload = json.loads(err)["error"]
     assert payload["type"] == "PoleEncountered"
     assert payload["point"] == [0.0, 0.0]
+    # a constant target fails at every sample at once; it must not raise
+    for argv in (
+        ("check", "--name", "becker", "--expr", "1"),
+        ("check", "--name", "nehari", "--expr", "1"),
+        ("norm", "--kind", "pre", "--expr", "1"),
+        ("norm", "--kind", "bloch-log", "--g", "0"),
+        ("profile", "--expr", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"]["type"] == "AllSamplesFailed", argv
 
 
 def test_norm_bloch_log_example(capsys):
@@ -232,6 +243,19 @@ def test_render_ppm_by_suffix(capsys, tmp_path):
     assert report["image_format"] == "ppm"
     assert out.read_bytes().startswith(b"P6 64 64 255\n")
     assert report["max_abs"] < 1
+
+
+def test_render_constant_color_field(capsys, tmp_path):
+    # the weighted field of a constant is NaN everywhere: every point is drawn gray
+    out = tmp_path / "one.ppm"
+    code, report, _ = run_json(
+        capsys, "render", "--expr", "1", "--color-field", "--output", str(out),
+        "--radial-levels", "32", "--angular", "64",
+    )
+    assert code == 0
+    assert report["skipped"] == 0
+    assert report["max_abs"] == 1.0
+    assert bytes([90, 90, 90]) in out.read_bytes()
 
 
 def test_render_requires_output(capsys):

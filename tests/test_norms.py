@@ -71,7 +71,7 @@ def test_pre_schwarzian_norm_gap_five(gap_five):
 
 
 def test_mobius_interior_maximum():
-    est = pre_schwarzian_norm(build("mobius-a60"), SMALL)
+    est = pre_schwarzian_norm(build("mobius-gap-a60"), SMALL)
     assert est.value == pytest.approx(31 / 9, abs=0.01)
     assert est.value <= 31 / 9 + 1e-9
     # the maximum sits inside the disk on the positive real axis
@@ -96,7 +96,7 @@ def test_exponential_norm_is_one():
 def test_bloch_norm_examples():
     assert bloch_norm_log(parse("1/(1-z)"), SMALL).value == pytest.approx(2.0, abs=0.01)
     assert bloch_norm_log(parse("1"), SMALL).value == 0.0
-    g90 = build("mobius-a90").g
+    g90 = build("mobius-gap-a90").g
     assert bloch_norm_log(g90, SMALL).value == pytest.approx(2.0, abs=0.02)
 
 
@@ -117,7 +117,7 @@ def test_refinement_monotone(gap_one):
 
 @pytest.mark.parametrize(
     "name, make_field, p",
-    [("gap-five", pre_schwarzian_field, 1), ("koebe", schwarzian_field, 2)],
+    [("gap-five-sharp", pre_schwarzian_field, 1), ("koebe", schwarzian_field, 2)],
 )
 def test_sweep_matches_one_call_reference(name, make_field, p):
     grid = GridSpec(radial_levels=40, angular_count=64, refine_rounds=1)
@@ -159,6 +159,8 @@ def test_all_samples_failed():
 
     with pytest.raises(AllSamplesFailed):
         weighted_sup(bad, 1, SMALL)
+    with pytest.raises(AllSamplesFailed):
+        radial_profile(bad, 1, 50)
 
 
 def test_partial_failure_flagged():

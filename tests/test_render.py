@@ -112,7 +112,7 @@ def test_ppm_header_and_size(tmp_path):
 def test_field_colored_render(tmp_path):
     path = tmp_path / "field.ppm"
     job = RenderJob(
-        build("gap-one"),
+        build("gap-one-sharp"),
         path,
         resolution=RES,
         fmt="ppm",
