@@ -9,6 +9,8 @@ written to stderr as a structured JSON object.
 from __future__ import annotations
 
 import argparse
+import cmath
+import dataclasses
 import json
 import math
 import sys
@@ -62,32 +64,6 @@ from .norms import (
 )
 from .render import RenderJob, render_image
 
-_EVAL_OPS = (
-    "preschwarzian",
-    "schwarzian",
-    "dilatation",
-    "jacobian",
-    "map-value",
-    "wirtinger",
-    "phi",
-    "dbar-preschwarzian",
-    "dbar-schwarzian",
-    "hg-eps-preschwarzian",
-    "compose",
-)
-_NORM_KINDS = ("pre", "schwarzian", "bloch-log", "hg-eps")
-_CHECK_NAMES = (
-    "becker",
-    "nehari",
-    "schwarz-pick",
-    "eps-univalence",
-    "norm-gap",
-    "eps-norm-gap",
-    "norm-bound",
-    "starlike",
-    "associated-starlike",
-)
-
 
 class UsageError(Exception):
     """Bad flag combination or missing input; maps to exit code 2."""
@@ -105,27 +81,17 @@ def parse_complex(text: str) -> complex:
     raise UsageError(f"expected a complex number as 're,im' or a bare real, got {text!r}")
 
 
-def _num(x) -> object:
-    x = float(x)
-    return x if math.isfinite(x) else "diverged"
-
-
-def _cnum(z) -> object:
-    z = complex(z)
-    if math.isfinite(z.real) and math.isfinite(z.imag):
-        return [z.real, z.imag]
-    return "diverged"
-
-
 def _jsonable(v):
+    """The JSON form of a report value: complex numbers become [re, im]
+    pairs and non-finite numbers the string "diverged"."""
     if isinstance(v, np.generic):
         v = v.item()
     if v is None or isinstance(v, (bool, int, str)):
         return v
     if isinstance(v, float):
-        return _num(v)
+        return v if math.isfinite(v) else "diverged"
     if isinstance(v, complex):
-        return _cnum(v)
+        return [v.real, v.imag] if cmath.isfinite(v) else "diverged"
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -165,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("eval", help="evaluate one operator at one point")
-    p.add_argument("--op", choices=_EVAL_OPS, required=True)
+    p.add_argument("--op", choices=_MAP_OPS, required=True)
     p.add_argument("--z", default="0", help="evaluation point, 're,im'")
     p.add_argument("--eps", default=None, help="family exponent, 're,im'")
     p.add_argument("--psi", default=None, help="analytic disk self-map to precompose")
@@ -173,14 +139,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("norm", help="hyperbolically weighted sup-norm estimate")
-    p.add_argument("--kind", choices=_NORM_KINDS, required=True)
+    p.add_argument("--kind", choices=_NORMS, required=True)
     p.add_argument("--eps", default=None)
     _add_map_flags(p)
     _add_grid_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("check", help="run a univalence or geometry criterion")
-    p.add_argument("--name", choices=_CHECK_NAMES, required=True)
+    p.add_argument("--name", choices=_CHECKS, required=True)
     p.add_argument("--eps", default=None)
     p.add_argument("--omega", default=None, help="dilatation expression for schwarz-pick")
     _add_map_flags(p)
@@ -232,15 +198,28 @@ def _has_map_flags(args) -> bool:
     return args.h is not None or args.g is not None
 
 
+def _needed(value, message: str):
+    if value is None:
+        raise UsageError(message)
+    return value
+
+
+def _parse(text: str, what: str = "expression"):
+    try:
+        return parse(text)
+    except ExprSyntaxError as exc:
+        raise UsageError(f"bad {what}: {exc}") from None
+
+
 def _target_map(args) -> LogHarmonicMap:
     if args.expr is not None and _has_map_flags(args):
         raise UsageError("give either --expr or --h/--g, not both")
     if args.h is None or args.g is None:
         raise UsageError("this operation needs a full mapping: --h and --g (plus --m/--beta)")
+    beta = parse_complex(args.beta)
+    h, g = _parse(args.h, "factor expression"), _parse(args.g, "factor expression")
     try:
-        return LogHarmonicMap.from_strings(args.m, parse_complex(args.beta), args.h, args.g)
-    except ExprSyntaxError as exc:
-        raise UsageError(f"bad factor expression: {exc}") from None
+        return LogHarmonicMap(args.m, beta, h, g)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -250,24 +229,26 @@ def _target_expr(args):
         raise UsageError("this operation needs --expr")
     if _has_map_flags(args):
         raise UsageError("give either --expr or --h/--g, not both")
-    try:
-        return parse(args.expr)
-    except ExprSyntaxError as exc:
-        raise UsageError(f"bad expression: {exc}") from None
+    return _parse(args.expr)
+
 
 def _require_eps(args) -> complex:
-    if args.eps is None:
-        raise UsageError("this operation needs --eps")
-    return parse_complex(args.eps)
+    return parse_complex(_needed(args.eps, "this operation needs --eps"))
 
 
-def _map_inputs(args) -> dict:
-    return {
-        "m": args.m,
-        "beta": _cnum(parse_complex(args.beta)),
-        "h": args.h,
-        "g": args.g,
-    }
+def _map_inputs(args, eps: bool = False) -> dict:
+    inputs = {"m": args.m, "beta": parse_complex(args.beta), "h": args.h, "g": args.g}
+    if eps:
+        inputs["eps"] = parse_complex(args.eps)
+    return inputs
+
+
+def _on_target(args, on_expr, on_map):
+    """on_expr of the --expr target or on_map of the --h/--g map, with the
+    inputs the report echoes."""
+    if args.expr is not None:
+        return on_expr(_target_expr(args)), {"expr": args.expr}
+    return on_map(_target_map(args)), _map_inputs(args)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +296,7 @@ def _to_text(report: dict, indent: str = "") -> str:
 
 
 def _emit(report: dict, args) -> None:
+    report = _jsonable(report)
     if args.format == "json":
         text = json.dumps(report, indent=2) + "\n"
     elif args.format == "csv":
@@ -334,90 +316,118 @@ def _emit(report: dict, args) -> None:
 # subcommands
 
 
+# Each table maps an argparse choice to its library call; the keys are the
+# choices.  The lambdas name the library functions rather than hold them, so
+# each call looks the name up in this module and a wrapper put there at run
+# time (a tracer's span recorder, a test's stub) sees the call.
+
+_EXPR_OPS = {
+    "preschwarzian": lambda e, z: analytic_pre_schwarzian(e, z),
+    "schwarzian": lambda e, z: analytic_schwarzian(e, z),
+}
+
+_MAP_OPS = {
+    "preschwarzian": lambda f, z, args: pre_schwarzian(f, z),
+    "schwarzian": lambda f, z, args: schwarzian(f, z),
+    "dilatation": lambda f, z, args: dilatation(f, z),
+    "jacobian": lambda f, z, args: jacobian(f, z),
+    "map-value": lambda f, z, args: map_value(f, z),
+    "wirtinger": lambda f, z, args: dict(zip(("f_z", "f_zbar", "f"), wirtinger(f, z))),
+    "phi": lambda f, z, args: dict(zip(("pre_schwarzian", "schwarzian"), phi_family(f, z))),
+    "dbar-preschwarzian": lambda f, z, args: dbar_pre_schwarzian(f, z),
+    "dbar-schwarzian": lambda f, z, args: dbar_schwarzian(f, z),
+    "hg-eps-preschwarzian": lambda f, z, args: hg_epsilon_pre_schwarzian(
+        f, _require_eps(args), z
+    ),
+    "compose": lambda f, z, args: compose_with_analytic(
+        f, parse(_needed(args.psi, "--op compose needs --psi")), z
+    ),
+}
+
+_NORMS = {
+    "pre": lambda args, grid: _on_target(
+        args,
+        lambda e: weighted_sup(analytic_pre_schwarzian_field(e), 1, grid),
+        lambda f: pre_schwarzian_norm(f, grid),
+    ),
+    "schwarzian": lambda args, grid: _on_target(
+        args,
+        lambda e: weighted_sup(analytic_schwarzian_field(e), 2, grid),
+        lambda f: schwarzian_norm(f, grid),
+    ),
+    "bloch-log": lambda args, grid: (
+        bloch_norm_log(_parse(_needed(args.g, "--kind bloch-log needs --g")), grid),
+        {"g": args.g},
+    ),
+    "hg-eps": lambda args, grid: (
+        weighted_sup(hg_epsilon_field(_target_map(args), _require_eps(args)), 1, grid),
+        _map_inputs(args, eps=True),
+    ),
+}
+
+
+def _with_companion(phi, report: CheckReport) -> CheckReport:
+    report.extras["companion"] = unparse(phi)
+    return report
+
+
+_CHECKS = {
+    "becker": lambda args, grid: (becker_check(_target_expr(args), grid), {"expr": args.expr}),
+    "nehari": lambda args, grid: (nehari_check(_target_expr(args), grid), {"expr": args.expr}),
+    "schwarz-pick": lambda args, grid: (
+        schwarz_pick_check(_parse(_needed(args.omega, "--name schwarz-pick needs --omega")), grid),
+        {"omega": args.omega},
+    ),
+    "eps-univalence": lambda args, grid: (
+        hg_epsilon_univalence_check(_target_map(args), _require_eps(args), grid),
+        _map_inputs(args, eps=True),
+    ),
+    "norm-gap": lambda args, grid: (norm_gap_check(_target_map(args), grid), _map_inputs(args)),
+    "eps-norm-gap": lambda args, grid: (
+        epsilon_norm_gap_check(_target_map(args), _require_eps(args), grid),
+        _map_inputs(args, eps=True),
+    ),
+    "norm-bound": lambda args, grid: (
+        pre_schwarzian_bound_check(_target_map(args), grid),
+        _map_inputs(args),
+    ),
+    "starlike": lambda args, grid: (starlike_check(_target_map(args), grid), _map_inputs(args)),
+    "associated-starlike": lambda args, grid: (
+        _with_companion(*associated_starlike(_target_map(args), grid)),
+        _map_inputs(args),
+    ),
+}
+
+
 def _cmd_eval(args) -> int:
     z = parse_complex(args.z)
-    op = args.op
     if args.expr is not None:
         e = _target_expr(args)
-        if op == "preschwarzian":
-            value = _cnum(analytic_pre_schwarzian(e, z))
-        elif op == "schwarzian":
-            value = _cnum(analytic_schwarzian(e, z))
-        else:
-            raise UsageError(f"--expr targets support preschwarzian and schwarzian, not {op}")
-        inputs = {"expr": args.expr, "z": _cnum(z)}
+        if args.op not in _EXPR_OPS:
+            raise UsageError(
+                f"--expr targets support preschwarzian and schwarzian, not {args.op}"
+            )
+        value, inputs = _EXPR_OPS[args.op](e, z), {"expr": args.expr, "z": z}
     else:
         f = _target_map(args)
-        inputs = {**_map_inputs(args), "z": _cnum(z)}
-        if op == "preschwarzian":
-            value = _cnum(pre_schwarzian(f, z))
-        elif op == "schwarzian":
-            value = _cnum(schwarzian(f, z))
-        elif op == "dilatation":
-            value = _cnum(dilatation(f, z))
-        elif op == "jacobian":
-            value = _num(jacobian(f, z))
-        elif op == "map-value":
-            value = _cnum(map_value(f, z))
-        elif op == "wirtinger":
-            fz, fzb, fv = wirtinger(f, z)
-            value = {"f_z": _cnum(fz), "f_zbar": _cnum(fzb), "f": _cnum(fv)}
-        elif op == "phi":
-            p, s = phi_family(f, z)
-            value = {"pre_schwarzian": _cnum(p), "schwarzian": _cnum(s)}
-        elif op == "dbar-preschwarzian":
-            value = _cnum(dbar_pre_schwarzian(f, z))
-        elif op == "dbar-schwarzian":
-            value = _cnum(dbar_schwarzian(f, z))
-        elif op == "hg-eps-preschwarzian":
-            value = _cnum(hg_epsilon_pre_schwarzian(f, _require_eps(args), z))
-        elif op == "compose":
-            if args.psi is None:
-                raise UsageError("--op compose needs --psi")
-            value = _cnum(compose_with_analytic(f, parse(args.psi), z))
+        value, inputs = _MAP_OPS[args.op](f, z, args), {**_map_inputs(args), "z": z}
+        if args.op == "compose":
             inputs["psi"] = args.psi
-        else:  # pragma: no cover - choices exhaust the ops
-            raise UsageError(f"unknown op {op}")
         if args.eps is not None:
-            inputs["eps"] = _cnum(parse_complex(args.eps))
-    _emit({"subcommand": "eval", "op": op, "inputs": inputs, "value": value}, args)
+            inputs["eps"] = parse_complex(args.eps)
+    _emit({"subcommand": "eval", "op": args.op, "inputs": inputs, "value": value}, args)
     return 0
-
-
-def _norm_estimate(args, grid: GridSpec):
-    kind = args.kind
-    if kind == "bloch-log":
-        if args.g is None:
-            raise UsageError("--kind bloch-log needs --g")
-        try:
-            g = parse(args.g)
-        except ExprSyntaxError as exc:
-            raise UsageError(f"bad expression: {exc}") from None
-        return bloch_norm_log(g, grid), {"g": args.g}
-    if kind == "hg-eps":
-        f = _target_map(args)
-        eps = _require_eps(args)
-        est = weighted_sup(hg_epsilon_field(f, eps), 1, grid)
-        return est, {**_map_inputs(args), "eps": _cnum(eps)}
-    weight = 1 if kind == "pre" else 2
-    if args.expr is not None:
-        e = _target_expr(args)
-        field = analytic_pre_schwarzian_field(e) if weight == 1 else analytic_schwarzian_field(e)
-        return weighted_sup(field, weight, grid), {"expr": args.expr}
-    f = _target_map(args)
-    est = pre_schwarzian_norm(f, grid) if weight == 1 else schwarzian_norm(f, grid)
-    return est, _map_inputs(args)
 
 
 def _cmd_norm(args) -> int:
     grid = _grid(args)
-    est, inputs = _norm_estimate(args, grid)
+    est, inputs = _NORMS[args.kind](args, grid)
     report = {
         "subcommand": "norm",
         "kind": args.kind,
         "inputs": inputs,
-        "value": _num(est.value),
-        "argmax": _cnum(est.argmax),
+        "value": est.value,
+        "argmax": est.argmax,
         "diverged": est.diverged,
         "samples": est.samples,
         "failed_samples": est.failed_samples,
@@ -428,54 +438,19 @@ def _cmd_norm(args) -> int:
     return 0
 
 
-def _run_check(args, grid: GridSpec) -> tuple[CheckReport, dict]:
-    name = args.name
-    if name == "becker":
-        return becker_check(_target_expr(args), grid), {"expr": args.expr}
-    if name == "nehari":
-        return nehari_check(_target_expr(args), grid), {"expr": args.expr}
-    if name == "schwarz-pick":
-        if args.omega is None:
-            raise UsageError("--name schwarz-pick needs --omega")
-        try:
-            omega = parse(args.omega)
-        except ExprSyntaxError as exc:
-            raise UsageError(f"bad expression: {exc}") from None
-        return schwarz_pick_check(omega, grid), {"omega": args.omega}
-    f = _target_map(args)
-    inputs = _map_inputs(args)
-    if name == "eps-univalence":
-        eps = _require_eps(args)
-        inputs["eps"] = _cnum(eps)
-        return hg_epsilon_univalence_check(f, eps, grid), inputs
-    if name == "norm-gap":
-        return norm_gap_check(f, grid), inputs
-    if name == "eps-norm-gap":
-        eps = _require_eps(args)
-        inputs["eps"] = _cnum(eps)
-        return epsilon_norm_gap_check(f, eps, grid), inputs
-    if name == "norm-bound":
-        return pre_schwarzian_bound_check(f, grid), inputs
-    if name == "starlike":
-        return starlike_check(f, grid), inputs
-    phi, report = associated_starlike(f, grid)
-    report.extras["companion"] = unparse(phi)
-    return report, inputs
-
-
 def _cmd_check(args) -> int:
     grid = _grid(args)
-    report, inputs = _run_check(args, grid)
+    report, inputs = _CHECKS[args.name](args, grid)
     payload = {
         "subcommand": "check",
         "name": args.name,
         "inputs": inputs,
         "verdict": report.verdict,
-        "worst_margin": _num(report.worst_margin) if report.worst_margin is not None else None,
-        "worst_point": _cnum(report.worst_point) if report.worst_point is not None else None,
+        "worst_margin": report.worst_margin,
+        "worst_point": report.worst_point,
         "samples": report.samples,
         "detail": report.detail,
-        "extras": _jsonable(report.extras),
+        "extras": report.extras,
         "grid": _grid_meta(grid),
     }
     _emit(payload, args)
@@ -492,32 +467,20 @@ def _cmd_fixtures(args) -> int:
         return 0
     if not args.name:
         raise UsageError("fixtures run needs a fixture name")
+    grid = _grid(args)
     try:
-        result = run_fixture(args.name, _grid(args))
+        result = run_fixture(args.name, grid)
     except KeyError:
         raise UsageError(
             f"unknown fixture {args.name!r}; valid names: {', '.join(fixture_names())}"
         ) from None
-    rows = [
-        {
-            "metric": r.metric,
-            "arg": _cnum(r.arg) if r.arg is not None else None,
-            "expected": _jsonable(r.expected),
-            "computed": _jsonable(r.computed),
-            "tol": r.tol,
-            "relative": r.relative,
-            "ok": r.ok,
-            "source": r.source,
-        }
-        for r in result.rows
-    ]
     payload = {
         "subcommand": "fixtures",
         "action": "run",
         "fixture": result.name,
         "passed": result.passed,
-        "rows": rows,
-        "grid": _grid_meta(_grid(args)),
+        "rows": [dataclasses.asdict(r) for r in result.rows],
+        "grid": _grid_meta(grid),
     }
     _emit(payload, args)
     return 0 if result.passed else 1
@@ -549,8 +512,8 @@ def _cmd_render(args) -> int:
         "image_format": summary.fmt,
         "rows": summary.rows,
         "skipped": summary.skipped,
-        "bounds": [_num(b) for b in summary.bounds],
-        "max_abs": _num(summary.max_abs),
+        "bounds": summary.bounds,
+        "max_abs": summary.max_abs,
     }
     # the image went to --output; the summary always goes to stdout
     out = argparse.Namespace(format=args.format, output=None)
@@ -559,25 +522,20 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    weight = 1 if args.op == "preschwarzian" else 2
-    if args.expr is not None:
-        e = _target_expr(args)
-        field = analytic_pre_schwarzian_field(e) if weight == 1 else analytic_schwarzian_field(e)
-        inputs = {"expr": args.expr}
-    else:
-        f = _target_map(args)
-        field = pre_schwarzian_field(f) if weight == 1 else schwarzian_field(f)
-        inputs = _map_inputs(args)
-    prof = radial_profile(field, weight, args.samples, args.r_max)
+    pre = args.op == "preschwarzian"
+    field, inputs = _on_target(
+        args,
+        lambda e: analytic_pre_schwarzian_field(e) if pre else analytic_schwarzian_field(e),
+        lambda f: pre_schwarzian_field(f) if pre else schwarzian_field(f),
+    )
+    prof = radial_profile(field, 1 if pre else 2, args.samples, args.r_max)
     payload = {
         "subcommand": "profile",
         "op": args.op,
         "inputs": inputs,
-        "rows": [[r, v] for r, v in prof.rows],
+        "rows": prof.rows,
         "monotone_tail": prof.monotone_tail,
-        "boundary_estimate": _num(prof.boundary_estimate)
-        if prof.boundary_estimate is not None
-        else None,
+        "boundary_estimate": prof.boundary_estimate,
     }
     _emit(payload, args)
     return 0
@@ -597,7 +555,7 @@ def _emit_error(kind: str, exc: Exception) -> None:
     err: dict = {"type": kind, "message": str(exc)}
     point = getattr(exc, "point", None)
     if point is not None:
-        err["point"] = _cnum(point)
+        err["point"] = _jsonable(complex(point))
     sys.stderr.write(json.dumps({"error": err}) + "\n")
 
 

@@ -1,11 +1,13 @@
 """Sampled univalence and starlikeness checks, and norm-gap comparisons.
 
-Every verdict here is a statement about samples.  A pass means the tested
-inequality held (within additive slack 1e-9) at every grid sample, which
-certifies the criterion only up to sampling density; a fail carries a
-concrete witness point whose margin reproduces on re-evaluation.  Docs and
-report text avoid claiming more: sampling can refute a sup bound but
-cannot prove one.
+Every verdict here is a statement about samples, and one rule gives it
+(`_report`): pass iff the worst margin is at most the slack, 1e-9 for
+pointwise inequalities and 2 * NORM_TOL for comparisons of norm estimates.
+A pass certifies the criterion only up to sampling density; a fail carries
+a concrete witness point whose margin reproduces on re-evaluation.  A
+check is inconclusive when the norm of f diverges or its hypothesis fails.
+Docs and report text avoid claiming more: sampling can refute a sup bound
+but cannot prove one.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ SAMPLE_SLACK = 1e-9
 NORM_TOL = 0.01
 # checks never sample the origin itself
 _INNER = 1e-3
+_DIVERGED = "pre-Schwarzian norm diverges at the origin factor"
 
 
 @dataclass(frozen=True)
@@ -46,23 +49,40 @@ class CheckReport:
     extras: dict = dc_field(default_factory=dict)
 
 
-def _worst_margin(margin_field, grid: GridSpec, inner: float = 0.0):
+def _report(margin, point, samples, passed_detail, failed_detail, extras, slack=SAMPLE_SLACK):
+    """The one verdict rule: pass iff the worst margin is at most the slack."""
+    ok = margin <= slack
+    detail = passed_detail if ok else failed_detail
+    return CheckReport("pass" if ok else "fail", point, margin, samples, detail, extras)
+
+
+def _inconclusive(point, samples, detail, extras) -> CheckReport:
+    """A check whose hypothesis fails or whose norm diverges claims nothing."""
+    return CheckReport("inconclusive", point, math.nan, samples, detail, extras)
+
+
+def _worst_margin(margin_field, grid: GridSpec | None, inner: float = 0.0):
     """(worst margin, witness, samples, failed) of a real margin field.
 
     The margin is re-evaluated at the witness; that re-evaluation pins the
     reported margin to its witness and is the certificate of a fail.
     """
-    walk = level_walk(lambda r, zs: margin_field(zs), grid, inner)
+    walk = level_walk(lambda r, zs: margin_field(zs), grid or GridSpec(), inner)
     re_eval = float(margin_field(np.array([walk.point]))[0])
     worst = re_eval if math.isfinite(re_eval) else walk.value
     return worst, walk.point, walk.samples, walk.failed
 
 
-def _verdict(margin: float) -> str:
-    return "pass" if margin <= SAMPLE_SLACK else "fail"
-
-
 # -- pointwise univalence criteria ---------------------------------------
+
+
+def _sup_check(field, weight_power: int, bound: float, grid, failed_detail: str) -> CheckReport:
+    """Sampled sup (1 - |z|^2)^weight_power |field| <= bound."""
+    est = weighted_sup(field, weight_power, grid)
+    return _report(
+        est.value - bound, est.argmax, est.samples, "criterion satisfied (sampled)",
+        failed_detail, {"sup": est.value, "failed_samples": est.failed_samples},
+    )
 
 
 def becker_check(e: Expr, grid: GridSpec | None = None) -> CheckReport:
@@ -72,22 +92,10 @@ def becker_check(e: Expr, grid: GridSpec | None = None) -> CheckReport:
     fail means the criterion is violated, which says nothing about
     univalence itself (the bound is sufficient, not necessary).
     """
-    grid = grid or GridSpec()
     pf = analytic_pre_schwarzian_field(e)
-
-    def field(z):
-        return z * pf(z)
-
-    est = weighted_sup(field, 1, grid)
-    margin = est.value - 1.0
-    return CheckReport(
-        verdict=_verdict(margin),
-        worst_point=est.argmax,
-        worst_margin=margin,
-        samples=est.samples,
-        detail="criterion satisfied (sampled)" if margin <= SAMPLE_SLACK
-        else "criterion violated at witness; univalence itself undecided",
-        extras={"sup": est.value, "failed_samples": est.failed_samples},
+    return _sup_check(
+        lambda z: z * pf(z), 1, 1.0, grid,
+        "criterion violated at witness; univalence itself undecided",
     )
 
 
@@ -97,23 +105,11 @@ def nehari_check(e: Expr, grid: GridSpec | None = None) -> CheckReport:
     Included for diagnostics only; a pass certifies the inequality on the
     sample set, not univalence.
     """
-    grid = grid or GridSpec()
-    est = weighted_sup(analytic_schwarzian_field(e), 2, grid)
-    margin = est.value - 2.0
-    return CheckReport(
-        verdict=_verdict(margin),
-        worst_point=est.argmax,
-        worst_margin=margin,
-        samples=est.samples,
-        detail="criterion satisfied (sampled)" if margin <= SAMPLE_SLACK
-        else "criterion violated at witness",
-        extras={"sup": est.value, "failed_samples": est.failed_samples},
-    )
+    return _sup_check(analytic_schwarzian_field(e), 2, 2.0, grid, "criterion violated at witness")
 
 
 def schwarz_pick_check(omega: Expr, grid: GridSpec | None = None) -> CheckReport:
     """Sampled |omega'| <= (1 - |omega|^2)/(1 - |z|^2) for a disk self-map."""
-    grid = grid or GridSpec()
     max_mod = [0.0]
 
     def margin(z):
@@ -125,17 +121,11 @@ def schwarz_pick_check(omega: Expr, grid: GridSpec | None = None) -> CheckReport
         return np.abs(w1) * (1.0 - np.abs(z) ** 2) - (1.0 - np.abs(w0) ** 2)
 
     worst, point, total, failed = _worst_margin(as_field(margin, real=True), grid)
-    ok = worst <= SAMPLE_SLACK
-    return CheckReport(
-        verdict="pass" if ok else "fail",
-        worst_point=point,
-        worst_margin=worst,
-        samples=total,
-        detail="inequality holds at all samples" if ok
-        else "violated; the map is not a disk self-map at the witness"
-        if max_mod[0] >= 1
+    return _report(
+        worst, point, total, "inequality holds at all samples",
+        "violated; the map is not a disk self-map at the witness" if max_mod[0] >= 1
         else "violated at witness",
-        extras={"max_modulus": max_mod[0], "failed_samples": failed},
+        {"max_modulus": max_mod[0], "failed_samples": failed},
     )
 
 
@@ -172,20 +162,13 @@ def hg_epsilon_univalence_check(
     """
     if f.m != 0:
         raise ValueError("the h g^eps criterion applies to m = 0 mappings")
-    grid = grid or GridSpec()
     eps = complex(eps)
     worst, point, total, failed = _worst_margin(_a5_margin_field(f, eps), grid)
-    member = Mul(f.h, Pow(f.g, Lit(eps)))
-    corroboration = becker_check(member, grid)
-    ok = worst <= SAMPLE_SLACK
-    return CheckReport(
-        verdict="pass" if ok else "fail",
-        worst_point=point,
-        worst_margin=worst,
-        samples=total,
-        detail="h g^eps univalence criterion satisfied (sampled)" if ok
-        else "criterion violated at witness; h g^eps univalence undecided",
-        extras={
+    corroboration = becker_check(Mul(f.h, Pow(f.g, Lit(eps))), grid)
+    return _report(
+        worst, point, total, "h g^eps univalence criterion satisfied (sampled)",
+        "criterion violated at witness; h g^eps univalence undecided",
+        {
             "eps": eps,
             "failed_samples": failed,
             "becker_verdict": corroboration.verdict,
@@ -199,28 +182,20 @@ def hg_epsilon_univalence_check(
 
 def norm_gap_check(f: LogHarmonicMap, grid: GridSpec | None = None) -> CheckReport:
     """|norm(P_f) - norm(P_{hg})| against the bound 1."""
-    grid = grid or GridSpec()
     est_f = pre_schwarzian_norm(f, grid)
     est_hg = weighted_sup(analytic_pre_schwarzian_field(Mul(f.h, f.g)), 1, grid)
+    samples = est_f.samples + est_hg.samples
     if est_f.diverged:
-        return CheckReport(
-            verdict="inconclusive",
-            worst_point=est_f.argmax,
-            worst_margin=math.nan,
-            samples=est_f.samples + est_hg.samples,
-            detail="pre-Schwarzian norm diverges at the origin factor",
-            extras={"norm_f": est_f.value, "norm_product": est_hg.value},
+        return _inconclusive(
+            est_f.argmax, samples, _DIVERGED,
+            {"norm_f": est_f.value, "norm_product": est_hg.value},
         )
     gap = abs(est_f.value - est_hg.value)
-    margin = gap - 1.0
-    ok = margin <= 2 * NORM_TOL
-    return CheckReport(
-        verdict="pass" if ok else "fail",
-        worst_point=est_f.argmax,
-        worst_margin=margin,
-        samples=est_f.samples + est_hg.samples,
-        detail=f"gap {gap:.6f} vs bound 1",
-        extras={"gap": gap, "norm_f": est_f.value, "norm_product": est_hg.value},
+    detail = f"gap {gap:.6f} vs bound 1"
+    return _report(
+        gap - 1.0, est_f.argmax, samples, detail, detail,
+        {"gap": gap, "norm_f": est_f.value, "norm_product": est_hg.value},
+        slack=2 * NORM_TOL,
     )
 
 
@@ -229,32 +204,23 @@ def epsilon_norm_gap_check(
 ) -> CheckReport:
     """|norm(P_f) - norm(P_{h g^eps})| against 1 + |1-eps| b, b the Bloch
     seminorm of log g; the weaker bound 1 + 2b is reported alongside."""
-    grid = grid or GridSpec()
     eps = complex(eps)
     est_f = pre_schwarzian_norm(f, grid)
     est_member = weighted_sup(hg_epsilon_field(f, eps), 1, grid)
     beta = bloch_norm_log(f.g, grid).value
     bound = 1.0 + abs(1 - eps) * beta
     weak_bound = 1.0 + 2.0 * beta
+    samples = est_f.samples + est_member.samples
     if est_f.diverged:
-        return CheckReport(
-            verdict="inconclusive",
-            worst_point=est_f.argmax,
-            worst_margin=math.nan,
-            samples=est_f.samples + est_member.samples,
-            detail="pre-Schwarzian norm diverges at the origin factor",
-            extras={"bloch_log_g": beta, "bound": bound, "weak_bound": weak_bound},
+        return _inconclusive(
+            est_f.argmax, samples, _DIVERGED,
+            {"bloch_log_g": beta, "bound": bound, "weak_bound": weak_bound},
         )
     gap = abs(est_f.value - est_member.value)
-    margin = gap - bound
-    ok = margin <= 2 * NORM_TOL
-    return CheckReport(
-        verdict="pass" if ok else "fail",
-        worst_point=est_f.argmax,
-        worst_margin=margin,
-        samples=est_f.samples + est_member.samples,
-        detail=f"gap {gap:.6f} vs bound {bound:.6f} (weak bound {weak_bound:.6f})",
-        extras={
+    detail = f"gap {gap:.6f} vs bound {bound:.6f} (weak bound {weak_bound:.6f})"
+    return _report(
+        gap - bound, est_f.argmax, samples, detail, detail,
+        {
             "eps": eps,
             "gap": gap,
             "norm_f": est_f.value,
@@ -263,6 +229,7 @@ def epsilon_norm_gap_check(
             "bound": bound,
             "weak_bound": weak_bound,
         },
+        slack=2 * NORM_TOL,
     )
 
 
@@ -273,27 +240,19 @@ def pre_schwarzian_bound_check(
 
     Inconclusive when the hypothesis fails: the bound is then not claimed.
     """
-    grid = grid or GridSpec()
     hypothesis = hg_epsilon_univalence_check(f, 1, grid)
     if hypothesis.verdict != "pass":
-        return CheckReport(
-            verdict="inconclusive",
-            worst_point=hypothesis.worst_point,
-            worst_margin=math.nan,
-            samples=hypothesis.samples,
-            detail="hypothesis fails at witness; the bound is not claimed",
-            extras={"hypothesis_margin": hypothesis.worst_margin},
+        return _inconclusive(
+            hypothesis.worst_point, hypothesis.samples,
+            "hypothesis fails at witness; the bound is not claimed",
+            {"hypothesis_margin": hypothesis.worst_margin},
         )
     est = pre_schwarzian_norm(f, grid)
-    margin = est.value - 7.0
-    ok = margin <= 2 * NORM_TOL
-    return CheckReport(
-        verdict="pass" if ok else "fail",
-        worst_point=est.argmax,
-        worst_margin=margin,
-        samples=hypothesis.samples + est.samples,
-        detail=f"norm estimate {est.value:.6f} vs bound 7",
-        extras={"norm_f": est.value, "hypothesis_margin": hypothesis.worst_margin},
+    detail = f"norm estimate {est.value:.6f} vs bound 7"
+    return _report(
+        est.value - 7.0, est.argmax, hypothesis.samples + est.samples, detail, detail,
+        {"norm_f": est.value, "hypothesis_margin": hypothesis.worst_margin},
+        slack=2 * NORM_TOL,
     )
 
 
@@ -325,19 +284,10 @@ def starlike_check(f: LogHarmonicMap, grid: GridSpec | None = None) -> CheckRepo
     - conj(beta m + z g'/g); the direct Wirtinger quotient is exercised as
     a cross-check in the test suite.
     """
-    grid = grid or GridSpec()
-    worst, point, total, failed = _worst_margin(
-        _starlike_margin_field(f), grid, inner=_INNER
-    )
-    ok = worst <= SAMPLE_SLACK
-    return CheckReport(
-        verdict="pass" if ok else "fail",
-        worst_point=point,
-        worst_margin=worst,
-        samples=total,
-        detail="functional positive at all samples" if ok
-        else "functional nonpositive at witness",
-        extras={"failed_samples": failed},
+    worst, point, total, failed = _worst_margin(_starlike_margin_field(f), grid, inner=_INNER)
+    return _report(
+        worst, point, total, "functional positive at all samples",
+        "functional nonpositive at witness", {"failed_samples": failed},
     )
 
 
@@ -352,7 +302,6 @@ def associated_starlike(
     """
     if f.m < 1:
         raise ValueError("the companion construction needs m >= 1")
-    grid = grid or GridSpec()
     phi = Div(Mul(Var(), f.h), f.g)
 
     def margin(z):
@@ -361,14 +310,7 @@ def associated_starlike(
         return -np.real(1.0 + z * hj.d1 / hj.d0 - z * gj.d1 / gj.d0)
 
     worst, point, total, failed = _worst_margin(as_field(margin, real=True), grid, inner=_INNER)
-    ok = worst <= SAMPLE_SLACK
-    report = CheckReport(
-        verdict="pass" if ok else "fail",
-        worst_point=point,
-        worst_margin=worst,
-        samples=total,
-        detail="companion is starlike at all samples" if ok
-        else "companion functional nonpositive at witness",
-        extras={"failed_samples": failed},
+    return phi, _report(
+        worst, point, total, "companion is starlike at all samples",
+        "companion functional nonpositive at witness", {"failed_samples": failed},
     )
-    return phi, report

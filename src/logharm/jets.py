@@ -10,9 +10,9 @@ one pass, without symbolic differentiation or finite differences.
 Coefficients may be Python complex scalars or numpy arrays; mixing the two
 broadcasts elementwise, which is what the grid-sweep code relies on.  On
 the scalar path a vanishing denominator (division, log, negative power)
-raises :class:`PoleEncountered`; array formulas are lifted by
-``maps.as_field``, which silences numpy warnings and masks non-finite
-entries.
+raises :class:`PoleEncountered`; ``maps.as_field`` lifts array formulas,
+silencing numpy warnings, masking non-finite entries and reading such a
+raise on a z-independent coefficient as a field that is NaN everywhere.
 """
 from __future__ import annotations
 

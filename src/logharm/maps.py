@@ -418,8 +418,9 @@ def as_field(formula, real: bool = False):
     of z, without numpy warnings, and NaN wherever a value is not finite:
     nan+nanj for complex fields, nan for real margins (``real=True``).  Jet
     coefficients that do not depend on z stay scalars inside the formula and
-    are broadcast here.  A ZeroDivisionError can only come from such a scalar
-    divisor, so it makes the whole field NaN.
+    are broadcast here.  A ZeroDivisionError, or a PoleEncountered from a jet
+    dividing by or taking the log of a zero, can only come from such a scalar
+    coefficient, so it makes the whole field NaN.
     """
     dtype, nan = (float, np.nan) if real else (complex, np.nan + 1j * np.nan)
 
@@ -428,7 +429,7 @@ def as_field(formula, real: bool = False):
         with np.errstate(all="ignore"):
             try:
                 v = np.asarray(formula(z), dtype=dtype)
-            except ZeroDivisionError:
+            except (ZeroDivisionError, PoleEncountered):
                 v = np.asarray(nan)
             if v.shape != z.shape:
                 v = np.broadcast_to(v, z.shape)

@@ -183,6 +183,10 @@ def _sweep(field, weight_power: int, grid: GridSpec, inner: float) -> NormEstima
         if v_t > best_val:
             best_val, th_best = v_t, th_new
         refine_trace.append(best_val)
+        if best_val == refine_trace[-2]:
+            # nothing moved, so every later round would repeat this one exactly
+            refine_trace += [best_val] * (grid.refine_rounds + 1 - len(refine_trace))
+            break
 
     argmax, value = _weighted_scalar(field, weight_power, r_best, th_best)
     if value < best_val:  # scalar re-eval is the certificate; keep the max seen

@@ -6,7 +6,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logharm.cli import UsageError, main, parse_complex
+from logharm.cli import UsageError, _build_parser, _jsonable, main, parse_complex
+from logharm.criteria import (
+    associated_starlike,
+    becker_check,
+    epsilon_norm_gap_check,
+    hg_epsilon_univalence_check,
+    nehari_check,
+    norm_gap_check,
+    pre_schwarzian_bound_check,
+    schwarz_pick_check,
+    starlike_check,
+)
+from logharm.expr import parse, unparse
+from logharm.maps import (
+    LogHarmonicMap,
+    analytic_pre_schwarzian,
+    analytic_pre_schwarzian_field,
+    analytic_schwarzian,
+    analytic_schwarzian_field,
+    compose_with_analytic,
+    dbar_pre_schwarzian,
+    dbar_schwarzian,
+    dilatation,
+    hg_epsilon_field,
+    hg_epsilon_pre_schwarzian,
+    jacobian,
+    map_value,
+    phi_family,
+    pre_schwarzian,
+    schwarzian,
+    wirtinger,
+)
+from logharm.norms import (
+    GridSpec,
+    bloch_norm_log,
+    pre_schwarzian_norm,
+    schwarzian_norm,
+    weighted_sup,
+)
 
 # small but sufficient grid for the 0.01-level norm assertions below
 GRID = ("--radial-levels", "60", "--angular", "64", "--refine", "2")
@@ -111,6 +149,9 @@ def test_eval_pole_is_structured_error(capsys):
         ("norm", "--kind", "pre", "--expr", "1"),
         ("norm", "--kind", "bloch-log", "--g", "0"),
         ("profile", "--expr", "1"),
+        ("norm", "--kind", "pre", "--h", "1", "--g", "1"),
+        ("norm", "--kind", "schwarzian", "--h", "1", "--g", "1"),
+        ("norm", "--kind", "hg-eps", "--h", "1", "--g", "1", "--eps", "1"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -332,6 +373,129 @@ def test_usage_errors_exit_two(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# -- every CLI choice against its library call ----------------------------
+
+TINY = ("--radial-levels", "20", "--angular", "32", "--refine", "1")
+TINY_GRID = GridSpec(radial_levels=20, angular_count=32, refine_rounds=1)
+NEAR_ID = ("--m", "0", "--h", "z+0.05*z^2", "--g", "1+0.05*z")
+
+
+def _map(flags) -> LogHarmonicMap:
+    opts = dict(zip(flags[::2], flags[1::2]))
+    return LogHarmonicMap.from_strings(
+        int(opts["--m"]), parse_complex(opts.get("--beta", "0")), opts["--h"], opts["--g"]
+    )
+
+
+def _choices(subcommand: str, dest: str) -> set:
+    sub = next(a for a in _build_parser()._actions if a.dest == "subcommand")
+    return set(next(a.choices for a in sub.choices[subcommand]._actions if a.dest == dest))
+
+
+Z = 0.3 + 0.2j
+EVAL_MAP = {
+    "preschwarzian": ((), lambda f: pre_schwarzian(f, Z)),
+    "schwarzian": ((), lambda f: schwarzian(f, Z)),
+    "dilatation": ((), lambda f: dilatation(f, Z)),
+    "jacobian": ((), lambda f: jacobian(f, Z)),
+    "map-value": ((), lambda f: map_value(f, Z)),
+    "wirtinger": ((), lambda f: dict(zip(("f_z", "f_zbar", "f"), wirtinger(f, Z)))),
+    "phi": ((), lambda f: dict(zip(("pre_schwarzian", "schwarzian"), phi_family(f, Z)))),
+    "dbar-preschwarzian": ((), lambda f: dbar_pre_schwarzian(f, Z)),
+    "dbar-schwarzian": ((), lambda f: dbar_schwarzian(f, Z)),
+    "hg-eps-preschwarzian": (
+        ("--eps", "0.5,-0.25"), lambda f: hg_epsilon_pre_schwarzian(f, 0.5 - 0.25j, Z)
+    ),
+    "compose": (("--psi", "0.5*z"), lambda f: compose_with_analytic(f, parse("0.5*z"), Z)),
+}
+EVAL_EXPR = {
+    "preschwarzian": lambda e: analytic_pre_schwarzian(e, Z),
+    "schwarzian": lambda e: analytic_schwarzian(e, Z),
+}
+NORMS = {
+    ("pre", "map"): (GAP_FIVE, lambda: pre_schwarzian_norm(_map(GAP_FIVE), TINY_GRID)),
+    ("pre", "expr"): (("--expr", "z/(1-z)^2"), lambda: weighted_sup(
+        analytic_pre_schwarzian_field(parse("z/(1-z)^2")), 1, TINY_GRID)),
+    ("schwarzian", "map"): (GAP_FIVE, lambda: schwarzian_norm(_map(GAP_FIVE), TINY_GRID)),
+    ("schwarzian", "expr"): (("--expr", "z/(1-z)^2"), lambda: weighted_sup(
+        analytic_schwarzian_field(parse("z/(1-z)^2")), 2, TINY_GRID)),
+    ("bloch-log", "g"): (("--g", "1/(1-z)"), lambda: bloch_norm_log(parse("1/(1-z)"), TINY_GRID)),
+    ("hg-eps", "map"): ((*GAP_FIVE, "--eps", "0.5"), lambda: weighted_sup(
+        hg_epsilon_field(_map(GAP_FIVE), 0.5), 1, TINY_GRID)),
+}
+
+
+def _companion_report(f, grid):
+    phi, report = associated_starlike(f, grid)
+    report.extras["companion"] = unparse(phi)
+    return report
+
+
+CHECKS = {
+    "becker": (("--expr", "z/(1-z)^2"), lambda: becker_check(parse("z/(1-z)^2"), TINY_GRID)),
+    "nehari": (("--expr", "z+0.1*z^2"), lambda: nehari_check(parse("z+0.1*z^2"), TINY_GRID)),
+    "schwarz-pick": (
+        ("--omega", "(z+0.5)/(1+0.5*z)"),
+        lambda: schwarz_pick_check(parse("(z+0.5)/(1+0.5*z)"), TINY_GRID),
+    ),
+    "eps-univalence": (
+        (*NEAR_ID, "--eps", "1"),
+        lambda: hg_epsilon_univalence_check(_map(NEAR_ID), 1, TINY_GRID),
+    ),
+    "norm-gap": (GAP_ONE, lambda: norm_gap_check(_map(GAP_ONE), TINY_GRID)),
+    "eps-norm-gap": (
+        (*GAP_FIVE, "--eps", "-1"),
+        lambda: epsilon_norm_gap_check(_map(GAP_FIVE), -1, TINY_GRID),
+    ),
+    "norm-bound": (NEAR_ID, lambda: pre_schwarzian_bound_check(_map(NEAR_ID), TINY_GRID)),
+    "starlike": (STARLIKE, lambda: starlike_check(_map(STARLIKE), TINY_GRID)),
+    "associated-starlike": (STARLIKE, lambda: _companion_report(_map(STARLIKE), TINY_GRID)),
+}
+
+
+def test_every_choice_is_run_below():
+    assert _choices("eval", "op") == set(EVAL_MAP) >= set(EVAL_EXPR)
+    assert _choices("norm", "kind") == {kind for kind, _ in NORMS}
+    assert _choices("check", "name") == set(CHECKS)
+
+
+@pytest.mark.parametrize("op", sorted(EVAL_MAP))
+def test_eval_op_reports_library_value(capsys, op):
+    flags, call = EVAL_MAP[op]
+    code, report, _ = run_json(capsys, "eval", *GAP_ONE, "--op", op, "--z", "0.3,0.2", *flags)
+    assert code == 0
+    assert report["value"] == _jsonable(call(_map(GAP_ONE)))
+
+
+@pytest.mark.parametrize("op", sorted(EVAL_EXPR))
+def test_eval_expr_op_reports_library_value(capsys, op):
+    code, report, _ = run_json(
+        capsys, "eval", "--expr", "z/(1-z)^2", "--op", op, "--z", "0.3,0.2"
+    )
+    assert code == 0
+    assert report["value"] == _jsonable(EVAL_EXPR[op](parse("z/(1-z)^2")))
+
+
+@pytest.mark.parametrize("kind, target", sorted(NORMS))
+def test_norm_kind_reports_library_estimate(capsys, kind, target):
+    flags, call = NORMS[kind, target]
+    code, report, _ = run_json(capsys, "norm", "--kind", kind, *flags, *TINY)
+    assert code == 0
+    est = call()
+    keys = ("value", "argmax", "diverged", "samples", "failed_samples", "flagged")
+    assert {k: report[k] for k in keys} == _jsonable({k: getattr(est, k) for k in keys})
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_check_name_reports_library_verdict(capsys, name):
+    flags, call = CHECKS[name]
+    code, report, _ = run_json(capsys, "check", "--name", name, *flags, *TINY)
+    want = call()
+    assert code == (0 if want.verdict == "pass" else 1)
+    keys = ("verdict", "worst_margin", "worst_point", "samples", "detail", "extras")
+    assert {k: report[k] for k in keys} == _jsonable({k: getattr(want, k) for k in keys})
 
 
 _JUNK = st.sampled_from(

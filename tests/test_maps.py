@@ -515,6 +515,8 @@ def test_fields_are_nan_exactly_where_scalars_raise():
     bad_points = [(build(n), 0j) for n in IDENTITY_SUITE if build(n).m >= 1]  # origin, m >= 1
     omega_2z = LogHarmonicMap.from_strings(0, 0, "exp(z)", "exp(z^2)")
     bad_points.append((omega_2z, 0.6 + 0j))  # |omega| = 1.2
+    # h' = 0 does not depend on z: the jets divide by a scalar zero
+    bad_points.append((LogHarmonicMap.from_strings(0, 0, "1", "1"), 0.3 + 0.1j))
     for f, bad in bad_points:
         assert _raises(lambda z: pre_schwarzian(f, z), bad)
         assert _raises(lambda z: schwarzian(f, z), bad)
@@ -525,8 +527,9 @@ def test_fields_are_nan_exactly_where_scalars_raise():
     gap_five = build("gap-five-sharp")
     assert _raises(lambda z: hg_epsilon_pre_schwarzian(gap_five, -2, z), 0.5)
     assert cmath.isnan(_field_at(hg_epsilon_field(gap_five, -2), 0.5))
-    # z^2 has a critical point at the origin; a constant is critical everywhere
-    for crit, z in ((parse("z^2"), 0j), (parse("1"), 0.3 + 0.1j)):
+    # z^2 has a critical point at the origin; a constant is critical
+    # everywhere; 1/0 is a pole that does not depend on z
+    for crit, z in ((parse("z^2"), 0j), (parse("1"), 0.3 + 0.1j), (parse("1/0"), 0.3 + 0.1j)):
         for scalar, make_field in (
             (analytic_pre_schwarzian, analytic_pre_schwarzian_field),
             (analytic_schwarzian, analytic_schwarzian_field),

@@ -115,6 +115,24 @@ def test_refinement_monotone(gap_one):
     assert est.value >= est.refine_values[0]
 
 
+def test_refine_stops_after_a_round_that_moves_nothing():
+    # the sup of a constant field is its origin sample, so refine round 1
+    # moves nothing, and every later round would repeat it exactly
+    sizes = []
+
+    def counted(z):
+        sizes.append(np.size(z))
+        return constant_one(z)
+
+    grid = GridSpec(radial_levels=20, angular_count=32, refine_rounds=3)
+    est = weighted_sup(counted, 1, grid)
+    # one-point calls: the origin level, one round (a radial and an angular
+    # golden-section search of 34 calls each), the re-evaluation at the argmax
+    assert sizes.count(1) == 1 + 2 * 34 + 1
+    assert est.refine_values == (1.0,) * (grid.refine_rounds + 1)
+    assert (est.value, est.argmax) == (1.0, 0j)
+
+
 @pytest.mark.parametrize(
     "name, make_field, p",
     [("gap-five-sharp", pre_schwarzian_field, 1), ("koebe", schwarzian_field, 2)],
