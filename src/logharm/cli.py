@@ -399,6 +399,8 @@ _CHECKS = {
 }
 
 
+# a scalar that overflows ends in its typed error, without numpy warnings
+@np.errstate(all="ignore")
 def _cmd_eval(args) -> int:
     z = parse_complex(args.z)
     if args.expr is not None:

@@ -205,17 +205,13 @@ def epsilon_norm_gap_check(
     """|norm(P_f) - norm(P_{h g^eps})| against 1 + |1-eps| b, b the Bloch
     seminorm of log g; the weaker bound 1 + 2b is reported alongside."""
     eps = complex(eps)
+    member = hg_epsilon_field(f, eps)  # raises for m >= 1, before any sweep
     est_f = pre_schwarzian_norm(f, grid)
-    est_member = weighted_sup(hg_epsilon_field(f, eps), 1, grid)
+    est_member = weighted_sup(member, 1, grid)
     beta = bloch_norm_log(f.g, grid).value
     bound = 1.0 + abs(1 - eps) * beta
     weak_bound = 1.0 + 2.0 * beta
     samples = est_f.samples + est_member.samples
-    if est_f.diverged:
-        return _inconclusive(
-            est_f.argmax, samples, _DIVERGED,
-            {"bloch_log_g": beta, "bound": bound, "weak_bound": weak_bound},
-        )
     gap = abs(est_f.value - est_member.value)
     detail = f"gap {gap:.6f} vs bound {bound:.6f} (weak bound {weak_bound:.6f})"
     return _report(

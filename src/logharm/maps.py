@@ -382,12 +382,12 @@ def hg_epsilon_pre_schwarzian(f: LogHarmonicMap, eps: complex, z: complex) -> co
     """
     if f.m != 0:
         raise ValueError("the h g^eps family is defined for m = 0 mappings")
-    z = complex(z)
     eps = complex(eps)
-    omega, G, H = _raw_local(f, z)
-    w0, w1 = complex(omega.d0), complex(omega.d1)
+    data = local_data(f, z)
+    w0, w1 = data.omega, data.omega_d1
     if abs(1 + eps * w0) < 1e-14:
-        raise DegenerateDenominator("1 + eps*omega vanished", point=z)
+        raise DegenerateDenominator("1 + eps*omega vanished", point=data.z)
+    G, H = data.G_jet, data.H_jet
     g0, g1, hp0, hp1 = (complex(c) for c in (G.d0, G.d1, H.d0, H.d1))
     return _hg_kernel(eps, w0, w1, g0, g1, hp0, hp1)
 

@@ -32,6 +32,9 @@ _RAMP_LO = (40, 40, 160)
 _RAMP_HI = (255, 230, 40)
 _RAMP_BAD = (90, 90, 90)
 
+# CSV rows formatted per write; bounds the Python floats and strings alive at once
+_CSV_BLOCK_ROWS = 1 << 14
+
 
 @dataclass(frozen=True)
 class RenderJob:
@@ -68,11 +71,8 @@ def mesh_points(resolution: tuple[int, int], r_max: float) -> np.ndarray:
     """Origin plus (radial - 1) rings of `angular` points, sorted by (r, theta)."""
     radial, angular = resolution
     radii = _radii(0.0, r_max, radial)
-    thetas = np.arange(angular) * (2 * math.pi / angular)
-    rings = [np.array([0j])]
-    for r in radii[1:]:
-        rings.append(r * np.exp(1j * thetas))
-    return np.concatenate(rings)
+    ring = np.exp(1j * (np.arange(angular) * (2 * math.pi / angular)))
+    return np.concatenate([[0j], (radii[1:, None] * ring).ravel()])
 
 
 def eval_target(target: Expr | LogHarmonicMap, z: np.ndarray) -> np.ndarray:
@@ -88,50 +88,52 @@ def _weighted_field(target: Expr | LogHarmonicMap):
 
 
 def _write_csv(path: Path, z: np.ndarray, w: np.ndarray, ok: np.ndarray) -> None:
-    lines = ["z_re,z_im,w_re,w_im"]
-    for zi, wi, good in zip(z, w, ok):
-        if not good:
-            continue
-        lines.append(
-            f"{float(zi.real)!r},{float(zi.imag)!r},{float(wi.real)!r},{float(wi.imag)!r}"
-        )
+    cols = np.stack([z.real, z.imag, w.real, w.imag])[:, ok]
     try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write("z_re,z_im,w_re,w_im\n")
+            # repr of a Python float is the shortest string that round-trips
+            for first in range(0, cols.shape[1], _CSV_BLOCK_ROWS):
+                block = cols[:, first : first + _CSV_BLOCK_ROWS].tolist()
+                rows = map(",".join, zip(*(map(repr, col) for col in block)))
+                fh.write("\n".join(rows) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from None
 
 
 def _colors(job: RenderJob, z: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    n = len(z)
-    out = np.full((n, 3), 255, dtype=np.uint8)
+    """One RGB row per mesh point: white, or the ramp over (1-|z|^2)|P_f|
+    scaled by its max, gray where that field is not finite."""
     if not job.color_by_weighted_field:
-        return out
-    field = _weighted_field(job.target)
-    with np.errstate(all="ignore"):
-        vals = np.abs(field(z)) * (1 - np.abs(z) ** 2)
+        return np.full((len(z), 3), 255, dtype=np.uint8)
+    vals = np.abs(_weighted_field(job.target)(z)) * (1 - np.abs(z) ** 2)
     good = ok & np.isfinite(vals)
     top = float(vals[good].max()) if good.any() else 0.0
-    for i in range(n):
-        if not good[i]:
-            out[i] = _RAMP_BAD
-            continue
-        t = vals[i] / top if top > 0 else 0.0
-        out[i] = [round(lo + t * (hi - lo)) for lo, hi in zip(_RAMP_LO, _RAMP_HI)]
+    t = np.where(good, vals / top, 0.0) if top > 0 else np.zeros(len(z))
+    lo, hi = np.array(_RAMP_LO), np.array(_RAMP_HI)
+    out = np.rint(lo + t[:, None] * (hi - lo)).astype(np.uint8)
+    out[~good] = _RAMP_BAD
     return out
 
 
 def _write_ppm(job: RenderJob, path: Path, z: np.ndarray, w: np.ndarray, ok: np.ndarray) -> None:
     side = job.resolution[1]
-    half = float(np.max(np.abs(np.concatenate([w[ok].real, w[ok].imag]))))
+    # the color field is the render's memory peak: evaluate it before the pixel arrays
+    colors = _colors(job, z, ok)[ok]
+    ws = w[ok]
+    half = float(np.max(np.abs(np.concatenate([ws.real, ws.imag]))))
     if half <= 0:
         half = 1.0
     scale = (side - 1) / (2 * half)
-    canvas = np.zeros((side, side, 3), dtype=np.uint8)
-    colors = _colors(job, z, ok)
-    for i in np.flatnonzero(ok):
-        px = int(round((w[i].real + half) * scale))
-        py = side - 1 - int(round((w[i].imag + half) * scale))
-        canvas[py, px] = colors[i]
+    # np.rint rounds half to even, as round() does
+    px = np.rint((ws.real + half) * scale).astype(np.intp)
+    py = side - 1 - np.rint((ws.imag + half) * scale).astype(np.intp)
+    # a pixel hit more than once takes the last point in (r, theta) order
+    flat = py * side + px
+    _, first_from_end = np.unique(flat[::-1], return_index=True)
+    last = len(flat) - 1 - first_from_end
+    canvas = np.zeros((side * side, 3), dtype=np.uint8)
+    canvas[flat[last]] = colors[last]
     try:
         with open(path, "wb") as fh:
             fh.write(f"P6 {side} {side} 255\n".encode("ascii"))

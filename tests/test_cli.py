@@ -158,6 +158,17 @@ def test_eval_pole_is_structured_error(capsys):
         assert json.loads(err)["error"]["type"] == "AllSamplesFailed", argv
 
 
+def test_eval_overflow_near_boundary_is_one_json_error(capsys):
+    # exp(z/(1-z)) overflows at 0.999; stderr carries the typed error only
+    for op in ("preschwarzian", "hg-eps-preschwarzian"):
+        code, out, err = run(
+            capsys, "eval", *GAP_ONE, "--op", op, "--eps", "0.5,0.5", "--z", "0.999"
+        )
+        assert (code, out) == (2, ""), op
+        assert err.endswith("\n") and err.count("\n") == 1, (op, err)
+        assert json.loads(err)["error"]["type"] == "PoleEncountered", op
+
+
 def test_norm_bloch_log_example(capsys):
     code, report, _ = run_json(
         capsys, "norm", "--kind", "bloch-log", "--g", "1/(1-z)", *GRID

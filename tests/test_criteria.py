@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from logharm import criteria
 from logharm.errors import ZeroEncountered
 from logharm.criteria import (
     CheckReport,
@@ -151,6 +152,14 @@ def test_epsilon_norm_gap_chain(gap_five):
     assert epsilon_norm_gap_check(gap_five, -1, MEDIUM).extras[
         "norm_member"
     ] == pytest.approx(0.0, abs=1e-8)
+
+
+def test_epsilon_norm_gap_rejects_m_ge_1_before_sweeping(monkeypatch):
+    calls = []
+    monkeypatch.setattr(criteria, "pre_schwarzian_norm", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="m = 0"):
+        epsilon_norm_gap_check(build("starlike-vanishing"), 0.5, COARSE)
+    assert calls == []
 
 
 def test_pre_schwarzian_bound_check_passes_small():

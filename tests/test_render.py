@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import build
+from logharm import render
 from logharm.errors import IoFailure
 from logharm.expr import parse
 from logharm.render import RenderJob, eval_target, mesh_points, render_image
@@ -132,3 +135,76 @@ def test_unwritable_path_raises(tmp_path):
     job = RenderJob(parse("z"), tmp_path / "missing" / "out.csv", resolution=RES)
     with pytest.raises(IoFailure):
         render_image(job)
+
+
+# blake2b (16-byte) digests of the files the per-point writers wrote at RES
+# with the default r_max; the vectorized writers must reproduce them
+GOLDEN = {
+    ("gap-one-sharp", "ppm"): "2b8e9aa6ba4055a1015a505c15ba1bbb",
+    ("gap-one-sharp", "color"): "75530119d68808aec4fd983090b73827",
+    ("gap-one-sharp", "csv"): "aa8cb2b4634f3fa0df7a81f45b7e08e9",
+    ("(2-3*z)/(3-2*z)", "ppm"): "de398554fcd84694b516cfbc61780b43",
+    ("(2-3*z)/(3-2*z)", "color"): "4c6b4fece8a78752f9ef60328c3f94c4",
+    ("(2-3*z)/(3-2*z)", "csv"): "40357bd941f3430594290762297b27f3",
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(GOLDEN))
+def test_output_is_byte_identical_to_golden(name, mode, tmp_path, monkeypatch):
+    # small CSV blocks, the last one partial: the block size must not show in the bytes
+    monkeypatch.setattr(render, "_CSV_BLOCK_ROWS", 100)
+    target = parse(name) if name.startswith("(") else build(name)
+    fmt = "csv" if mode == "csv" else "ppm"
+    path = tmp_path / f"out.{fmt}"
+    render_image(
+        RenderJob(target, path, resolution=RES, fmt=fmt, color_by_weighted_field=mode == "color")
+    )
+    assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == GOLDEN[name, mode]
+
+
+def test_repeated_pixel_takes_last_point(tmp_path, monkeypatch):
+    # give every mesh point its own color, then replay the writer point by point
+    def index_colors(job, z, ok):
+        i = np.arange(len(z))
+        return np.stack([i % 256, i // 256, np.full_like(i, 7)], axis=1).astype(np.uint8)
+
+    monkeypatch.setattr(render, "_colors", index_colors)
+    path = tmp_path / "id.ppm"
+    job = RenderJob(parse("z"), path, resolution=RES, fmt="ppm")
+    render_image(job)
+    z = mesh_points(RES, job.r_max)
+    side = RES[1]
+    half = float(np.abs(np.concatenate([z.real, z.imag])).max())
+    scale = (side - 1) / (2 * half)
+    colors = index_colors(None, z, None)
+    want = np.zeros((side, side, 3), dtype=np.uint8)
+    owner = {}
+    for i, w in enumerate(z):
+        pixel = (side - 1 - round((w.imag + half) * scale), round((w.real + half) * scale))
+        owner.setdefault(pixel, []).append(i)
+        want[pixel] = colors[i]
+    assert any(len(points) > 1 for points in owner.values())
+    body = path.read_bytes()[len(f"P6 {side} {side} 255\n") :]
+    assert body == want.tobytes()
+
+
+def test_ramp_top_and_bad_points():
+    # 1/z has a pole at the origin, so its weighted field is NaN there
+    target = parse("1/z")
+    job = RenderJob(target, "unused.ppm", resolution=RES, fmt="ppm", color_by_weighted_field=True)
+    z = mesh_points(RES, job.r_max)
+    ok = np.ones(len(z), dtype=bool)
+    ok[-1] = False
+    vals = np.abs(render._weighted_field(target)(z)) * (1 - np.abs(z) ** 2)
+    bad = ~np.isfinite(vals) | ~ok
+    assert bad[0] and bad.sum() == 2
+    colors = render._colors(job, z, ok)
+    assert tuple(colors[np.nanargmax(np.where(ok, vals, np.nan))]) == render._RAMP_HI
+    # point by point, the ramp the colors must equal
+    top = vals[~bad].max()
+    for i in range(len(z)):
+        want = render._RAMP_BAD if bad[i] else [
+            round(lo + vals[i] / top * (hi - lo))
+            for lo, hi in zip(render._RAMP_LO, render._RAMP_HI)
+        ]
+        assert list(colors[i]) == list(want), i
