@@ -28,14 +28,14 @@ from .maps import (
     analytic_schwarzian_field,
     hg_epsilon_field,
 )
-from .norms import GridSpec, bloch_norm_log, level_walk, pre_schwarzian_norm, weighted_sup
+from .norms import (
+    _INNER_RADIUS, GridSpec, bloch_norm_log, level_walk, pre_schwarzian_norm, weighted_sup
+)
 
 # additive slack for pointwise inequalities
 SAMPLE_SLACK = 1e-9
 # accepted drift of a norm estimate from its true sup on the default grids
 NORM_TOL = 0.01
-# checks never sample the origin itself
-_INNER = 1e-3
 _DIVERGED = "pre-Schwarzian norm diverges at the origin factor"
 
 
@@ -136,7 +136,7 @@ def _a5_margin_field(f: LogHarmonicMap, eps: complex):
     one_minus = abs(1 - eps)
 
     def margin(z):
-        omega, G, H = _raw_local(f, z)
+        omega, G, H = _raw_local(f, z, 0j)  # m = 0, so c = 0
         w0, w1 = omega.d0, omega.d1
         pf = _pre_kernel(w0, w1, _phi_logderiv(G, H))
         lhs = (
@@ -280,7 +280,7 @@ def starlike_check(f: LogHarmonicMap, grid: GridSpec | None = None) -> CheckRepo
     - conj(beta m + z g'/g); the direct Wirtinger quotient is exercised as
     a cross-check in the test suite.
     """
-    worst, point, total, failed = _worst_margin(_starlike_margin_field(f), grid, inner=_INNER)
+    worst, point, total, failed = _worst_margin(_starlike_margin_field(f), grid, _INNER_RADIUS)
     return _report(
         worst, point, total, "functional positive at all samples",
         "functional nonpositive at witness", {"failed_samples": failed},
@@ -305,7 +305,7 @@ def associated_starlike(
         gj = eval_jet(f.g, z, order=1)
         return -np.real(1.0 + z * hj.d1 / hj.d0 - z * gj.d1 / gj.d0)
 
-    worst, point, total, failed = _worst_margin(as_field(margin, real=True), grid, inner=_INNER)
+    worst, point, total, failed = _worst_margin(as_field(margin, real=True), grid, _INNER_RADIUS)
     return phi, _report(
         worst, point, total, "companion is starlike at all samples",
         "companion functional nonpositive at witness", {"failed_samples": failed},

@@ -246,9 +246,11 @@ def zpow_value(z, w):
 
 
 def zpow_jet(z, w, order: int = 2) -> Jet:
-    """Jet of z -> z^w (principal branch) at z != 0.
+    """Jet of z -> z^w (principal branch) at z != 0, and at z = 0 too when w = 0.
 
     Taylor coefficients are binomial: a_k = C(w, k) z^(w-k)."""
+    if w == 0:
+        return Jet.constant(1.0 + 0j, order)
     v = np.exp(w * np.log(z))
     coeffs = [v]
     binom = 1.0 + 0j

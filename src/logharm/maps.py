@@ -9,9 +9,11 @@ Jacobian, pre-Schwarzian, Schwarzian) is then an exact identity for
 complex b as well, principal branches understood.
 
 For m = 0 the mapping degenerates to h * conj(g) and all b-terms drop
-out.  The vanishing-order case m >= 1 concentrates its derivative
-singularities at the origin, so derivative-level operators require
-|z| >= 1e-8 there; value-level operators take the z -> 0 limit instead.
+out.  At the origin P_f = c/z + O(1) and S_f = -c(1 + c/2)/z^2 + ...,
+with c = `origin_exponent(f)` the power in G = z^c g below (0 when m = 0),
+so both weighted norms are infinite iff c != 0 (Re c > -1 excludes c = -2).
+Only then do derivative-level operators require |z| >= 1e-8; otherwise,
+and for value-level operators always, the origin gives the z -> 0 limit.
 
 The second (analytic) dilatation is
 
@@ -46,7 +48,7 @@ from .errors import (
 from .expr import Expr, eval_jet, parse
 from .jets import Jet, zpow_jet, zpow_value
 
-ORIGIN_RADIUS = 1e-8  # derivative ops for m >= 1 stay outside this disk
+ORIGIN_RADIUS = 1e-8  # derivative ops stay outside this disk when c != 0
 
 
 @dataclass(frozen=True)
@@ -104,11 +106,16 @@ class LocalData:
     phi_logderiv: complex
 
 
+def origin_exponent(f: LogHarmonicMap) -> complex:
+    """c in G = z^c g: P_f = c/z + O(1), so f has finite norms iff c == 0."""
+    return (2 * f.beta + 1) * f.m - 1 if f.m else 0j
+
+
 def _omega_jet(f: LogHarmonicMap, z, hj: Jet, gj: Jet, hp: Jet) -> Jet:
     """Order-2 dilatation jet from the order-3 jets of h and g and the jet hp of h'.
 
-    Unlike the full local bundle it is regular at the origin even when the
-    map vanishes there.
+    Unlike the full local bundle it is regular at the origin even when
+    c != 0.
     """
     gp = gj.derivative()
     if f.m == 0:
@@ -118,8 +125,9 @@ def _omega_jet(f: LogHarmonicMap, z, hj: Jet, gj: Jet, hp: Jet) -> Jet:
     return (zj * (gp / gj) + f.beta * f.m) / den
 
 
-def _raw_local(f: LogHarmonicMap, z):
-    """(omega_jet, G_jet, H_jet) at z; works on scalars and arrays alike."""
+def _raw_local(f: LogHarmonicMap, z, c: complex):
+    """(omega_jet, G_jet, H_jet) at z, with c = origin_exponent(f); works on
+    scalars and arrays alike."""
     hj = eval_jet(f.h, z)
     gj = eval_jet(f.g, z)
     hp = hj.derivative()
@@ -127,7 +135,7 @@ def _raw_local(f: LogHarmonicMap, z):
     if f.m == 0:
         return omega, gj.truncate(2), hp
     H = Jet.variable(z, 2) * hp + (f.beta + 1) * f.m * hj
-    G = zpow_jet(z, (2 * f.beta + 1) * f.m - 1, order=2) * gj
+    G = zpow_jet(z, c, order=2) * gj
     return omega, G, H
 
 
@@ -194,11 +202,12 @@ def _analytic_schwarzian_kernel(d1, d2, d3):
 def local_data(f: LogHarmonicMap, z: complex) -> LocalData:
     """Validated scalar bundle; raises on poles and degenerate denominators."""
     z = complex(z)
-    if f.m >= 1 and abs(z) < ORIGIN_RADIUS:
-        raise PoleEncountered("derivative data needs |z| >= 1e-8 for m >= 1", point=z)
+    c = origin_exponent(f)
+    if c != 0 and abs(z) < ORIGIN_RADIUS:
+        raise PoleEncountered("derivative data needs |z| >= 1e-8 when c != 0", point=z)
     if f.m >= 1:
         _checked_denominator(f, z, eval_jet(f.h, z, order=1))
-    omega, G, H = _raw_local(f, z)
+    omega, G, H = _raw_local(f, z, c)
     data = LocalData(
         z=z,
         omega=complex(omega.d0),
@@ -244,13 +253,13 @@ def jacobian(f: LogHarmonicMap, z: complex) -> float:
     """|f_z|^2 - |f_zbar|^2 in closed form; positive iff sense-preserving
     and locally univalent at z."""
     z = complex(z)
-    if f.m >= 1 and z == 0:
-        w = (2 * f.beta + 1) * f.m - 1
-        G0 = zpow_value(0j, w) * complex(eval_jet(f.g, 0j, order=0).d0)
+    c = origin_exponent(f)
+    if c != 0 and z == 0:
+        G0 = zpow_value(0j, c) * complex(eval_jet(f.g, 0j, order=0).d0)
         H0 = (f.beta + 1) * f.m * complex(eval_jet(f.h, 0j, order=0).d0)
         om = dilatation(f, 0j)
         return float(abs(H0 * G0) ** 2 * (1 - abs(om) ** 2))
-    omega, G, H = _raw_local(f, z)
+    omega, G, H = _raw_local(f, z, c)
     w0 = complex(omega.d0)
     return float(abs(complex(H.d0) * complex(G.d0)) ** 2 * (1 - abs(w0) ** 2))
 
@@ -321,7 +330,7 @@ def dbar_pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
     """d/dzbar of P_f: always -|omega'|^2 / (1-|omega|^2)^2, real and <= 0.
 
     Needs only the dilatation jet, so it is evaluable at the origin for
-    every m (the other derivative operators are not).
+    every m (the other derivative operators only when c == 0).
     """
     z = complex(z)
     try:
@@ -438,18 +447,19 @@ def as_field(formula, real: bool = False):
     return field
 
 
-def _array_local(f: LogHarmonicMap, z: np.ndarray):
-    """`_raw_local` on an array, with the origin masked out when m >= 1."""
-    if f.m >= 1:
+def _array_local(f: LogHarmonicMap, z: np.ndarray, c: complex):
+    """`_raw_local` on an array, with the origin masked out when c != 0."""
+    if c != 0:
         z = np.where(np.abs(z) < ORIGIN_RADIUS, np.nan + 1j * np.nan, z)
-    return _raw_local(f, z)
+    return _raw_local(f, z, c)
 
 
 def pre_schwarzian_field(f: LogHarmonicMap):
     """Vectorized z -> P_f(z); non-evaluable points come back NaN."""
+    c = origin_exponent(f)
 
     def formula(z):
-        omega, G, H = _array_local(f, z)
+        omega, G, H = _array_local(f, z, c)
         p = _pre_kernel(omega.d0, omega.d1, _phi_logderiv(G, H))
         return np.where(np.abs(omega.d0) < 1, p, np.nan)
 
@@ -458,9 +468,10 @@ def pre_schwarzian_field(f: LogHarmonicMap):
 
 def schwarzian_field(f: LogHarmonicMap):
     """Vectorized z -> S_f(z); non-evaluable points come back NaN."""
+    c = origin_exponent(f)
 
     def formula(z):
-        omega, G, H = _array_local(f, z)
+        omega, G, H = _array_local(f, z, c)
         s = _schwarzian_kernel(
             omega.d0, omega.d1, omega.d2, _phi_logderiv(G, H), _phi_schwarzian(G, H)
         )
@@ -492,7 +503,7 @@ def hg_epsilon_field(f: LogHarmonicMap, eps: complex):
     eps = complex(eps)
 
     def formula(z):
-        omega, G, H = _raw_local(f, z)
+        omega, G, H = _raw_local(f, z, 0j)  # m = 0, so c = 0
         return _hg_kernel(eps, omega.d0, omega.d1, G.d0, G.d1, H.d0, H.d1)
 
     return as_field(formula)

@@ -23,15 +23,16 @@ import numpy as np
 
 from .errors import AllSamplesFailed
 from .expr import Expr, eval_jet
-from .maps import LogHarmonicMap, as_field, pre_schwarzian_field, schwarzian_field
+from .maps import (
+    LogHarmonicMap, as_field, origin_exponent, pre_schwarzian_field, schwarzian_field
+)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
-# punctured-annulus inner radius used when the map vanishes at the origin
+# inner radius of the punctured annulus swept when the origin is singular,
+# and by the checks that never sample the origin itself
 _INNER_RADIUS = 1e-3
-_PROBE_RADII = (1e-3, 1e-5, 1e-7)
-_DIVERGED_CEIL = 1e9
 
 
 @dataclass(frozen=True)
@@ -214,29 +215,12 @@ def weighted_sup(field, weight_power: int, grid: GridSpec | None = None) -> Norm
     return _sweep(field, weight_power, grid or GridSpec(), inner=0.0)
 
 
-def _origin_diverges(field) -> bool:
-    angles = np.array([0.37, 1.91, 3.55, 5.19])
-    maxima = []
-    for r in _PROBE_RADII:
-        vals = np.abs(field(r * np.exp(1j * angles)))
-        vals = vals[np.isfinite(vals)]
-        maxima.append(float(np.max(vals)) if vals.size else math.inf)
-    p3, p5, p7 = maxima
-    if not math.isfinite(p7) or p7 > _DIVERGED_CEIL:
-        return True
-    return p7 > 1e4 and p7 > 30.0 * p5 and p5 > 30.0 * p3
-
-
 def _map_norm(field, weight_power: int, f: LogHarmonicMap, grid: GridSpec) -> NormEstimate:
-    if f.m == 0:
-        return _sweep(field, weight_power, grid, inner=0.0)
-    # the origin factor generically makes the norm infinite: probe first,
-    # then report the sup over the punctured annulus [1e-3, r_max]
-    diverged = _origin_diverges(field)
-    est = _sweep(field, weight_power, grid, inner=_INNER_RADIUS)
-    if diverged:
-        est = dataclasses.replace(est, diverged=True)
-    return est
+    # P_f = c/z + O(1): for c != 0 both norms are infinite, and the estimate
+    # is the sup over the punctured annulus [_INNER_RADIUS, r_max]
+    singular = origin_exponent(f) != 0
+    est = _sweep(field, weight_power, grid, inner=_INNER_RADIUS if singular else 0.0)
+    return dataclasses.replace(est, diverged=singular)
 
 
 def pre_schwarzian_norm(f: LogHarmonicMap, grid: GridSpec | None = None) -> NormEstimate:

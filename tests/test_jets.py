@@ -132,6 +132,15 @@ def test_zpow_jet_matches_expr_power():
                 assert abs(a - b) <= 1e-12 * (1 + abs(b))
 
 
+def test_zpow_jet_zero_exponent_is_one_at_origin():
+    # z^0 = 1 everywhere; exp(0 * log 0) would be NaN at z = 0
+    for z in (0j, np.array([0j, 0.5 - 0.2j])):
+        j = zpow_jet(z, 0, order=3)
+        assert j.order == 3
+        for k, c in enumerate(j.coeffs):
+            assert np.all(c == (1 if k == 0 else 0))
+
+
 def test_zpow_value_origin_rules():
     assert zpow_value(0j, 2) == 0
     assert zpow_value(0j, 0.5 + 1j) == 0

@@ -29,6 +29,7 @@ from logharm.maps import (
     hg_epsilon_pre_schwarzian,
     jacobian,
     map_value,
+    origin_exponent,
     phi_family,
     pre_schwarzian,
     pre_schwarzian_field,
@@ -483,23 +484,25 @@ def _parity_name(name: str) -> str:
     return _PARITY_NAMES.get(name, name)
 
 
-@pytest.mark.parametrize("name", IDENTITY_SUITE, ids=_parity_name)
-def test_scalar_operators_match_fields(name):
+def _assert_parity(f, label, z, want, got):
     # the benchmark's rule: 1e-12 relative, times the condition number
     # 1/(1 - |omega|^2) of the omega terms.  Values that vanish by
     # cancellation (the Schwarzian of a Moebius h, the h/g member of
     # gap-five) carry no relative accuracy, so below modulus 1 the bound is
-    # absolute.
+    # absolute.  A NaN on either side fails it.
+    cond = 1.0 / (1.0 - abs(dilatation(f, z)) ** 2)
+    scale = max(abs(want), abs(got), 1.0)
+    assert abs(want - got) <= 1e-12 * cond * scale, (label, z, want, got)
+
+
+@pytest.mark.parametrize("name", IDENTITY_SUITE, ids=_parity_name)
+def test_scalar_operators_match_fields(name):
     f = build(name)
     rng = random.Random(f"parity:{_parity_name(name)}")
     pairs = _operator_pairs(f)
     for z in _suite_points(name, rng, 20):
-        cond = 1.0 / (1.0 - abs(dilatation(f, z)) ** 2)
         for label, scalar, field in pairs:
-            want = scalar(z)
-            got = _field_at(field, z)
-            scale = max(abs(want), abs(got), 1.0)
-            assert abs(want - got) <= 1e-12 * cond * scale, (label, z, want, got)
+            _assert_parity(f, label, z, scalar(z), _field_at(field, z))
 
 
 def _raises(fn, z) -> bool:
@@ -511,8 +514,12 @@ def _raises(fn, z) -> bool:
 
 
 def test_fields_are_nan_exactly_where_scalars_raise():
-    # maps with a point where P_f and S_f cannot be evaluated
-    bad_points = [(build(n), 0j) for n in IDENTITY_SUITE if build(n).m >= 1]  # origin, m >= 1
+    # P_f = c/z + O(1) at the origin, so the origin is a bad point exactly
+    # when the origin exponent c is nonzero
+    vanishing = {n: build(n) for n in IDENTITY_SUITE if build(n).m >= 1}
+    singular = sorted(n for n, f in vanishing.items() if origin_exponent(f) != 0)
+    assert singular == ["complex-beta", "starlike-vanishing"]
+    bad_points = [(vanishing[n], 0j) for n in singular]
     omega_2z = LogHarmonicMap.from_strings(0, 0, "exp(z)", "exp(z^2)")
     bad_points.append((omega_2z, 0.6 + 0j))  # |omega| = 1.2
     # h' = 0 does not depend on z: the jets divide by a scalar zero
@@ -536,3 +543,8 @@ def test_fields_are_nan_exactly_where_scalars_raise():
         ):
             assert _raises(lambda z: scalar(crit, z), z)
             assert cmath.isnan(_field_at(make_field(crit), z))
+    # where c == 0 the origin is regular: both paths give the same finite limit
+    for name, f in vanishing.items():
+        if name not in singular:
+            for label, scalar, field in _operator_pairs(f):
+                _assert_parity(f, label, 0j, scalar(0j), _field_at(field, 0j))

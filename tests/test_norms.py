@@ -1,14 +1,27 @@
 """Sup-norm estimator against closed-form suprema and soundness invariants."""
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from logharm.criteria import NORM_TOL
 from logharm.errors import AllSamplesFailed
 from logharm.expr import Mul, parse
-from logharm.maps import analytic_pre_schwarzian_field, pre_schwarzian_field, schwarzian_field
+from logharm.fixtures import fixture_names
+from logharm.maps import (
+    LogHarmonicMap,
+    _phi_logderiv,
+    _raw_local,
+    analytic_pre_schwarzian_field,
+    as_field,
+    origin_exponent,
+    pre_schwarzian,
+    pre_schwarzian_field,
+    schwarzian_field,
+)
 from logharm.norms import (
     GridSpec,
     bloch_norm_log,
@@ -85,8 +98,6 @@ def test_koebe_norms():
 
 
 def test_exponential_norm_is_one():
-    from logharm.maps import LogHarmonicMap
-
     f = LogHarmonicMap.from_strings(0, 0, "exp(z)", "1")
     est = pre_schwarzian_norm(f, SMALL)
     assert est.value == pytest.approx(1.0, abs=1e-9)
@@ -160,14 +171,57 @@ def test_resolution_doubling_stability(gap_five):
 
 
 def test_diverged_flag_for_vanishing_maps():
-    est = pre_schwarzian_norm(build("starlike-vanishing"), SMALL)
+    f = build("starlike-vanishing")
+    c = origin_exponent(f)
+    assert c == 4
+    est = pre_schwarzian_norm(f, SMALL)
     assert est.diverged
     assert math.isfinite(est.value)
-    s_est = schwarzian_norm(build("starlike-vanishing"), SMALL)
-    assert s_est.diverged
-    # m = 1 with beta = 0 has no origin factor blowup in P
-    assert not pre_schwarzian_norm(build("vanishing-simple"), SMALL).diverged
-    assert not pre_schwarzian_norm(build("logharmonic-koebe"), SMALL).diverged
+    assert schwarzian_norm(f, SMALL).diverged
+    # P_f = c/z + O(1): the rule that marks the norm diverged matches the field
+    z = 1e-7 * cmath.exp(0.4j)
+    assert abs(z * pre_schwarzian_field(f)(np.array([z]))[0] - c) < 1e-6
+    assert abs(z * pre_schwarzian(f, z) - c) < 1e-6
+    # m = 1 with beta = 0 has c = 0: regular at the origin, swept from r = 0
+    simple = build("vanishing-simple")
+    assert pre_schwarzian(simple, 0) == 3
+    for name in ("vanishing-simple", "logharmonic-koebe"):
+        for norm in (pre_schwarzian_norm, schwarzian_norm):
+            est = norm(build(name), SMALL)
+            assert not est.diverged
+            assert est.samples == 1 + (SMALL.radial_levels - 1) * SMALL.angular_count
+
+
+@pytest.mark.parametrize(
+    "m, beta, diverged",
+    [
+        (1, 1e-4, True),
+        (2, -0.2499, True),
+        (3, -1 / 3 + 1e-9, True),
+        (1, 0.0, False),
+        (2, -0.25, False),
+        (3, -1 / 3, False),  # the float c is exactly 0.0
+    ],
+)
+def test_norms_diverge_iff_origin_exponent_nonzero(m, beta, diverged):
+    # c = (2 beta + 1) m - 1, however close to 0, decides both norms
+    f = LogHarmonicMap.from_strings(m, beta, "1/(1-z)", "1-z")
+    assert (origin_exponent(f) != 0) is diverged
+    for norm in (pre_schwarzian_norm, schwarzian_norm):
+        est = norm(f, SMALL)
+        assert est.diverged is diverged
+        assert math.isfinite(est.value)
+
+
+@pytest.mark.parametrize("name", [n for n in fixture_names() if build(n).m == 0])
+def test_m0_norm_is_the_bloch_norm_of_log_hg_within_one(name):
+    # for m = 0, P_f = (log h'g)' - conj(omega) omega' / (1 - |omega|^2), and
+    # Schwarz-Pick bounds the weighted last term by 1, so ||P_f|| is finite
+    # iff log(h'g) is Bloch, and the two sups differ by at most 1
+    f = build(name)
+    phi = as_field(lambda z: _phi_logderiv(*_raw_local(f, z, 0j)[1:]))
+    gap = pre_schwarzian_norm(f, SMALL).value - weighted_sup(phi, 1, SMALL).value
+    assert abs(gap) <= 1 + 2 * NORM_TOL
 
 
 def test_all_samples_failed():
