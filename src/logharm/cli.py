@@ -255,10 +255,17 @@ def _on_target(args, on_expr, on_map):
 # report emission
 
 
+def _cell(v) -> str:
+    """One report value as text: strings as they are, None as nothing and
+    everything else as JSON, so every cell parses back."""
+    if v is None:
+        return ""
+    return v if isinstance(v, str) else json.dumps(v)
+
+
 def _csv_cell(v) -> str:
-    if isinstance(v, list):
-        return json.dumps(v)
-    return "" if v is None else str(v)
+    """A quoted CSV field, with inner quotes doubled."""
+    return '"' + _cell(v).replace('"', '""') + '"'
 
 
 def _to_csv(report: dict) -> str:
@@ -267,7 +274,7 @@ def _to_csv(report: dict) -> str:
         cols = list(rows[0])
         lines = [",".join(cols)]
         for row in rows:
-            lines.append(",".join(f'"{_csv_cell(row[c])}"' for c in cols))
+            lines.append(",".join(_csv_cell(row[c]) for c in cols))
         return "\n".join(lines) + "\n"
     if isinstance(rows, list):
         lines = ["r,weighted_value"]
@@ -275,7 +282,7 @@ def _to_csv(report: dict) -> str:
         return "\n".join(lines) + "\n"
     lines = ["key,value"]
     for k, v in report.items():
-        lines.append(f'"{k}","{_csv_cell(v)}"')
+        lines.append(f"{_csv_cell(k)},{_csv_cell(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -288,10 +295,10 @@ def _to_text(report: dict, indent: str = "") -> str:
         elif isinstance(v, list) and v and isinstance(v[0], dict):
             lines.append(f"{indent}{k}:")
             for item in v:
-                parts = ", ".join(f"{kk}={_csv_cell(vv)}" for kk, vv in item.items())
+                parts = ", ".join(f"{kk}={_cell(vv)}" for kk, vv in item.items())
                 lines.append(f"{indent}  - {parts}")
         else:
-            lines.append(f"{indent}{k}: {_csv_cell(v)}")
+            lines.append(f"{indent}{k}: {_cell(v)}")
     return "\n".join(lines) + "\n"
 
 

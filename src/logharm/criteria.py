@@ -256,7 +256,7 @@ def pre_schwarzian_bound_check(
 
 
 def _starlike_margin_field(f: LogHarmonicMap):
-    bm = f.beta * f.m
+    a, b = f.exponents
 
     def margin(z):
         hj = eval_jet(f.h, z, order=1)
@@ -267,7 +267,7 @@ def _starlike_margin_field(f: LogHarmonicMap):
             raise ZeroEncountered(
                 "the map vanishes away from the origin", point=complex(z.flat[k])
             )
-        val = (1 + f.beta) * f.m + z * hj.d1 / hj.d0 - np.conj(bm + z * gj.d1 / gj.d0)
+        val = a + z * hj.d1 / hj.d0 - np.conj(b + z * gj.d1 / gj.d0)
         return -np.real(val)
 
     return as_field(margin, real=True)
@@ -276,9 +276,9 @@ def _starlike_margin_field(f: LogHarmonicMap):
 def starlike_check(f: LogHarmonicMap, grid: GridSpec | None = None) -> CheckReport:
     """Sampled positivity of Re((z f_z - conj(z) f_zbar)/f) off the origin.
 
-    Uses the cancellation-free closed form (1+beta)m + z h'/h
-    - conj(beta m + z g'/g); the direct Wirtinger quotient is exercised as
-    a cross-check in the test suite.
+    Uses the cancellation-free closed form a + z h'/h - conj(b + z g'/g),
+    (a, b) = f.exponents; the direct Wirtinger quotient is exercised as a
+    cross-check in the test suite.
     """
     worst, point, total, failed = _worst_margin(_starlike_margin_field(f), grid, _INNER_RADIUS)
     return _report(

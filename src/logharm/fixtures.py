@@ -102,78 +102,82 @@ def _samples() -> np.ndarray:
     return np.concatenate([r * np.exp(1j * angles) for r in _SAMPLE_RADII])
 
 
-def _max_abs(fn, fx: Fixture) -> float:
-    return max(abs(fn(fx.map, complex(z))) for z in _samples())
-
-
-def _omega_deviation(fx: Fixture) -> float:
+def _omega(fx: Fixture) -> Expr:
     if fx.omega is None:
         raise ValueError(f"fixture {fx.name} declares no dilatation expression")
-    return max(
-        abs(dilatation(fx.map, complex(z)) - eval_value(fx.omega, complex(z)))
-        for z in _samples()
+    return fx.omega
+
+
+def _eps(fx: Fixture) -> complex:
+    if fx.eps is None:
+        raise ValueError(f"fixture {fx.name} declares no eps")
+    return fx.eps
+
+
+def _gap(other: str):
+    """Each gap is the distance from the pre-Schwarzian norm to another catalog norm."""
+    return lambda fx, arg, grid, memo: abs(
+        _evaluate_metric(fx, "pre_schwarzian_norm", None, grid, memo)
+        - _evaluate_metric(fx, other, None, grid, memo)
     )
 
 
-def _member_norm(fx: Fixture, grid: GridSpec) -> float:
-    if fx.eps is None:
-        raise ValueError(f"fixture {fx.name} declares no eps")
-    return weighted_sup(hg_epsilon_field(fx.map, fx.eps), 1, grid).value
+def _at(op):
+    return lambda fx, arg, *_: op(fx.map, arg)
 
 
-_NORMS = {
-    "pre_schwarzian_norm": lambda fx, grid: pre_schwarzian_norm(fx.map, grid).value,
-    "product_pre_schwarzian_norm": lambda fx, grid: weighted_sup(
+def _max_over_samples(op):
+    return lambda fx, *_: max(abs(op(fx.map, complex(z))) for z in _samples())
+
+
+def _omega_deviation(fx: Fixture, *_) -> float:
+    omega = _omega(fx)
+    return max(
+        abs(dilatation(fx.map, complex(z)) - eval_value(omega, complex(z))) for z in _samples()
+    )
+
+
+# every catalog metric, keyed by its name in fixtures.json; an entry takes
+# (fixture, the check's arg, grid, the memo of this run)
+_METRICS = {
+    "pre_schwarzian_norm": lambda fx, arg, grid, _: pre_schwarzian_norm(fx.map, grid).value,
+    "product_pre_schwarzian_norm": lambda fx, arg, grid, _: weighted_sup(
         analytic_pre_schwarzian_field(Mul(fx.map.h, fx.map.g)), 1, grid
     ).value,
-    "member_pre_schwarzian_norm": _member_norm,
-    "bloch_log_g": lambda fx, grid: bloch_norm_log(fx.map.g, grid).value,
-    "schwarzian_norm": lambda fx, grid: schwarzian_norm(fx.map, grid).value,
-}
-# each gap is the difference of two catalog norms
-_GAPS = {
-    "norm_gap": ("pre_schwarzian_norm", "product_pre_schwarzian_norm"),
-    "eps_norm_gap": ("pre_schwarzian_norm", "member_pre_schwarzian_norm"),
+    "member_pre_schwarzian_norm": lambda fx, arg, grid, _: weighted_sup(
+        hg_epsilon_field(fx.map, _eps(fx)), 1, grid
+    ).value,
+    "bloch_log_g": lambda fx, arg, grid, _: bloch_norm_log(fx.map.g, grid).value,
+    "schwarzian_norm": lambda fx, arg, grid, _: schwarzian_norm(fx.map, grid).value,
+    "norm_gap": _gap("product_pre_schwarzian_norm"),
+    "eps_norm_gap": _gap("member_pre_schwarzian_norm"),
+    "pre_schwarzian_at": _at(pre_schwarzian),
+    "schwarzian_at": _at(schwarzian),
+    "dilatation_at": _at(dilatation),
+    "map_value_at": _at(map_value),
+    "jacobian_at": _at(jacobian),
+    "dbar_pre_schwarzian_at": _at(dbar_pre_schwarzian),
+    "dbar_pre_schwarzian_max": _max_over_samples(dbar_pre_schwarzian),
+    "dbar_schwarzian_max": _max_over_samples(dbar_schwarzian),
+    "starlike_verdict": lambda fx, arg, grid, _: starlike_check(fx.map, grid).verdict,
+    "associated_starlike_verdict": lambda fx, arg, grid, _: associated_starlike(
+        fx.map, grid
+    )[1].verdict,
+    "schwarz_pick_verdict": lambda fx, arg, grid, _: schwarz_pick_check(
+        _omega(fx), grid
+    ).verdict,
+    "omega_matches_closed_form": _omega_deviation,
 }
 
 
-def _evaluate_metric(fx: Fixture, metric: str, arg: complex | None, grid: GridSpec, norms: dict):
-    """Value of one catalog metric; `norms` memoizes the norms of this run."""
-    f = fx.map
-    if metric in _NORMS:
-        if metric not in norms:
-            norms[metric] = _NORMS[metric](fx, grid)
-        return norms[metric]
-    if metric in _GAPS:
-        a, b = (_evaluate_metric(fx, m, arg, grid, norms) for m in _GAPS[metric])
-        return abs(a - b)
-    if metric == "pre_schwarzian_at":
-        return pre_schwarzian(f, arg)
-    if metric == "schwarzian_at":
-        return schwarzian(f, arg)
-    if metric == "dilatation_at":
-        return dilatation(f, arg)
-    if metric == "map_value_at":
-        return map_value(f, arg)
-    if metric == "jacobian_at":
-        return jacobian(f, arg)
-    if metric == "dbar_pre_schwarzian_at":
-        return dbar_pre_schwarzian(f, arg)
-    if metric == "dbar_pre_schwarzian_max":
-        return _max_abs(dbar_pre_schwarzian, fx)
-    if metric == "dbar_schwarzian_max":
-        return _max_abs(dbar_schwarzian, fx)
-    if metric == "starlike_verdict":
-        return starlike_check(f, grid).verdict
-    if metric == "associated_starlike_verdict":
-        return associated_starlike(f, grid)[1].verdict
-    if metric == "schwarz_pick_verdict":
-        if fx.omega is None:
-            raise ValueError(f"fixture {fx.name} declares no dilatation expression")
-        return schwarz_pick_check(fx.omega, grid).verdict
-    if metric == "omega_matches_closed_form":
-        return _omega_deviation(fx)
-    raise ValueError(f"unknown metric {metric!r}")
+def _evaluate_metric(fx: Fixture, metric: str, arg: complex | None, grid: GridSpec, memo: dict):
+    """Value of one catalog metric.  `memo` keeps every value of this run by
+    (metric, arg), so a norm shared by several checks is computed once."""
+    if metric not in _METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    if (metric, arg) not in memo:
+        memo[metric, arg] = _METRICS[metric](fx, arg, grid, memo)
+    return memo[metric, arg]
 
 
 def _compare(expected, computed, tol, relative: bool) -> bool:
@@ -191,10 +195,10 @@ def run_fixture(name: str, grid: GridSpec | None = None) -> FixtureResult:
     fx = load_fixture(name)
     grid = grid or GridSpec(radial_levels=40, angular_count=512, refine_rounds=3)
     rows = []
-    norms: dict[str, float] = {}
+    memo: dict = {}
     for check in fx.checks:
         arg = complex(*check["arg"]) if "arg" in check else None
-        computed = _evaluate_metric(fx, check["metric"], arg, grid, norms)
+        computed = _evaluate_metric(fx, check["metric"], arg, grid, memo)
         expected = check["expect"]
         tol = check.get("tol")
         relative = bool(check.get("rel", False))

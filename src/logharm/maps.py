@@ -1,26 +1,29 @@
 """Log-harmonic mappings and their Schwarzian-type derivatives.
 
-A mapping here is f(z) = z^((b+1)m) h(z) conj(z^(b m) g(z)) on the unit
-disk, with integer vanishing order m >= 0, exponent parameter b with
-Re(b) > -1/2, and analytic factors h, g given as expression trees.  For
-real b this is the familiar z^m |z|^(2 b m) h(z) conj(g(z)); the powered
-form is used throughout because every closed formula below (dilatation,
-Jacobian, pre-Schwarzian, Schwarzian) is then an exact identity for
-complex b as well, principal branches understood.
+A mapping here is f(z) = z^a h(z) conj(z^b g(z)) on the unit disk, with
+(a, b) = `f.exponents` = ((beta+1) m, beta m), integer vanishing order
+m >= 0, exponent parameter beta with Re(beta) > -1/2, and analytic factors
+h, g given as expression trees.  For real beta this is the familiar
+z^m |z|^(2 beta m) h(z) conj(g(z)); the powered form is used throughout
+because every closed formula below (dilatation, Jacobian, pre-Schwarzian,
+Schwarzian) is then an exact identity for complex beta as well, principal
+branches understood.  `exponents` is the only place beta and m enter a
+formula.
 
-For m = 0 the mapping degenerates to h * conj(g) and all b-terms drop
-out.  At the origin P_f = c/z + O(1) and S_f = -c(1 + c/2)/z^2 + ...,
-with c = `origin_exponent(f)` the power in G = z^c g below (0 when m = 0),
-so both weighted norms are infinite iff c != 0 (Re c > -1 excludes c = -2).
-Only then do derivative-level operators require |z| >= 1e-8; otherwise,
-and for value-level operators always, the origin gives the z -> 0 limit.
+For m = 0 the mapping degenerates to h * conj(g) and a = b = 0.  At the
+origin P_f = c/z + O(1) and S_f = -c(1 + c/2)/z^2 + ..., with
+c = `origin_exponent(f)` = a + b - 1 the power in G = z^c g below (0 when
+m = 0), so both weighted norms are infinite iff c != 0 (Re c > -1 excludes
+c = -2).  Only then do derivative-level operators require |z| >= 1e-8;
+otherwise, and for value-level operators always, the origin gives the
+z -> 0 limit.
 
 The second (analytic) dilatation is
 
-    omega = (z g'/g + b m) / ((b+1) m + z h'/h),
+    omega = (b + z g'/g) / (a + z h'/h),
 
-reducing to g' h / (h' g) when m = 0.  Writing H = z h' + (b+1) m h and
-G = z^((2b+1)m - 1) g (just G = g, H = h' when m = 0), the locally
+so omega(0) = b/a, reducing to g' h / (h' g) when m = 0.  Writing
+H = z h' + a h and G = z^c g (just G = g, H = h' when m = 0), the locally
 univalent factorization gives
 
     J_f   = |H G|^2 (1 - |omega|^2),
@@ -53,7 +56,7 @@ ORIGIN_RADIUS = 1e-8  # derivative ops stay outside this disk when c != 0
 
 @dataclass(frozen=True)
 class LogHarmonicMap:
-    """Representation data (m, b, h, g) of a log-harmonic mapping."""
+    """Representation data (m, beta, h, g) of a log-harmonic mapping."""
 
     m: int
     beta: complex
@@ -86,6 +89,11 @@ class LogHarmonicMap:
     def from_strings(cls, m: int, beta, h: str, g: str) -> "LogHarmonicMap":
         return cls(m, complex(beta), parse(h), parse(g))
 
+    @property
+    def exponents(self) -> tuple[complex, complex]:
+        """(a, b) with f = z^a h conj(z^b g): a = (beta+1) m, b = beta m."""
+        return (self.beta + 1) * self.m, self.beta * self.m
+
 
 @dataclass(frozen=True)
 class LocalData:
@@ -108,21 +116,33 @@ class LocalData:
 
 def origin_exponent(f: LogHarmonicMap) -> complex:
     """c in G = z^c g: P_f = c/z + O(1), so f has finite norms iff c == 0."""
-    return (2 * f.beta + 1) * f.m - 1 if f.m else 0j
+    a, b = f.exponents
+    return a + b - 1 if f.m else 0j
 
 
-def _omega_jet(f: LogHarmonicMap, z, hj: Jet, gj: Jet, hp: Jet) -> Jet:
-    """Order-2 dilatation jet from the order-3 jets of h and g and the jet hp of h'.
+def _omega_jet(f: LogHarmonicMap, z, hj: Jet, gj: Jet) -> Jet:
+    """The dilatation (b + z g'/g) / (a + z h'/h), or g' h / (h' g) for m = 0,
+    as a jet one order below those of h and g.
 
-    Unlike the full local bundle it is regular at the origin even when
-    c != 0.
+    It is regular at the origin even when c != 0.  On a scalar z it raises
+    DegenerateDenominator where the denominator vanishes; on an array the
+    division leaves NaN there.
     """
-    gp = gj.derivative()
+    gp, hp = gj.derivative(), hj.derivative()
     if f.m == 0:
-        return (gp * hj) / (hp * gj)
-    zj = Jet.variable(z, 2)
-    den = (f.beta + 1) * f.m + zj * (hp / hj)
-    return (zj * (gp / gj) + f.beta * f.m) / den
+        num, den = gp * hj, hp * gj
+    else:
+        a, b = f.exponents
+        zj = Jet.variable(z, hp.order)
+        den = a + zj * (hp / hj)
+        num = zj * (gp / gj) + b
+    if not isinstance(z, np.ndarray):
+        d0 = complex(den.d0)
+        if f.m == 0 and d0 == 0:
+            raise DegenerateDenominator("h' g vanished", point=z)
+        if f.m >= 1 and abs(d0) < 1e-14:
+            raise DegenerateDenominator("(beta+1)m + z h'/h vanished", point=z)
+    return num / den
 
 
 def _raw_local(f: LogHarmonicMap, z, c: complex):
@@ -130,20 +150,13 @@ def _raw_local(f: LogHarmonicMap, z, c: complex):
     scalars and arrays alike."""
     hj = eval_jet(f.h, z)
     gj = eval_jet(f.g, z)
-    hp = hj.derivative()
-    omega = _omega_jet(f, z, hj, gj, hp)
+    omega = _omega_jet(f, z, hj, gj)
     if f.m == 0:
-        return omega, gj.truncate(2), hp
-    H = Jet.variable(z, 2) * hp + (f.beta + 1) * f.m * hj
+        return omega, gj.truncate(2), hj.derivative()
+    a, _ = f.exponents
+    H = Jet.variable(z, 2) * hj.derivative() + a * hj
     G = zpow_jet(z, c, order=2) * gj
     return omega, G, H
-
-
-def _checked_denominator(f: LogHarmonicMap, z: complex, hj: Jet) -> complex:
-    den = (f.beta + 1) * f.m + z * complex(hj.d1) / complex(hj.d0)
-    if abs(den) < 1e-14:
-        raise DegenerateDenominator("(beta+1)m + z h'/h vanished", point=z)
-    return den
 
 
 # -- closed forms ----------------------------------------------------------
@@ -205,8 +218,6 @@ def local_data(f: LogHarmonicMap, z: complex) -> LocalData:
     c = origin_exponent(f)
     if c != 0 and abs(z) < ORIGIN_RADIUS:
         raise PoleEncountered("derivative data needs |z| >= 1e-8 when c != 0", point=z)
-    if f.m >= 1:
-        _checked_denominator(f, z, eval_jet(f.h, z, order=1))
     omega, G, H = _raw_local(f, z, c)
     data = LocalData(
         z=z,
@@ -223,11 +234,17 @@ def local_data(f: LogHarmonicMap, z: complex) -> LocalData:
     return data
 
 
+def _sense_preserving(z: complex, w0: complex) -> float:
+    """1 - |w0|^2; raises NotSensePreserving when |w0| >= 1."""
+    mod = abs(w0)
+    if mod >= 1:
+        raise NotSensePreserving(point=z, modulus=mod)
+    return 1 - mod ** 2
+
+
 def _sense_preserving_data(f: LogHarmonicMap, z: complex) -> LocalData:
     data = local_data(f, z)
-    mod = abs(data.omega)
-    if mod >= 1:
-        raise NotSensePreserving(point=data.z, modulus=mod)
+    _sense_preserving(data.z, data.omega)
     return data
 
 
@@ -235,18 +252,9 @@ def _sense_preserving_data(f: LogHarmonicMap, z: complex) -> LocalData:
 
 
 def dilatation(f: LogHarmonicMap, z: complex) -> complex:
+    """omega(z); b/a at the origin when m >= 1."""
     z = complex(z)
-    if f.m >= 1 and z == 0:
-        return f.beta / (f.beta + 1)
-    hj = eval_jet(f.h, z, order=1)
-    gj = eval_jet(f.g, z, order=1)
-    if f.m == 0:
-        den = complex(hj.d1) * complex(gj.d0)
-        if den == 0:
-            raise DegenerateDenominator("h' g vanished", point=z)
-        return complex(gj.d1) * complex(hj.d0) / den
-    num = z * complex(gj.d1) / complex(gj.d0) + f.beta * f.m
-    return num / _checked_denominator(f, z, hj)
+    return complex(_omega_jet(f, z, eval_jet(f.h, z, order=1), eval_jet(f.g, z, order=1)).d0)
 
 
 def jacobian(f: LogHarmonicMap, z: complex) -> float:
@@ -256,7 +264,7 @@ def jacobian(f: LogHarmonicMap, z: complex) -> float:
     c = origin_exponent(f)
     if c != 0 and z == 0:
         G0 = zpow_value(0j, c) * complex(eval_jet(f.g, 0j, order=0).d0)
-        H0 = (f.beta + 1) * f.m * complex(eval_jet(f.h, 0j, order=0).d0)
+        H0 = f.exponents[0] * complex(eval_jet(f.h, 0j, order=0).d0)
         om = dilatation(f, 0j)
         return float(abs(H0 * G0) ** 2 * (1 - abs(om) ** 2))
     omega, G, H = _raw_local(f, z, c)
@@ -265,25 +273,26 @@ def jacobian(f: LogHarmonicMap, z: complex) -> float:
 
 
 def map_value(f: LogHarmonicMap, z):
-    """f(z) itself.  Accepts arrays; the origin maps to 0 whenever m >= 1."""
+    """f(z) itself.  Accepts arrays.  The origin maps to 0 whenever m >= 1:
+    |f| = |z|^Re(a+b) |h g| and Re(a + b) = (2 Re beta + 1) m > 0."""
+    a, b = f.exponents
     if isinstance(z, np.ndarray):
-        hv = eval_jet(f.h, z, order=0).d0
-        gv = eval_jet(f.g, z, order=0).d0
-        if f.m == 0:
-            return hv * np.conj(gv)
-        a = (f.beta + 1) * f.m
-        b = f.beta * f.m
-        logz = np.log(z)
-        val = np.exp(a * logz) * hv * np.conj(np.exp(b * logz) * gv)
-        return np.where(z == 0, 0j, val)  # Re((b+1)m) > m/2 > 0 forces the limit 0
+        with np.errstate(all="ignore"):
+            hv = eval_jet(f.h, z, order=0).d0
+            gv = eval_jet(f.g, z, order=0).d0
+            if f.m == 0:
+                return hv * np.conj(gv)
+            logz = np.log(z)
+            val = np.exp(a * logz) * hv * np.conj(np.exp(b * logz) * gv)
+        return np.where(z == 0, 0j, val)
     z = complex(z)
+    if f.m >= 1 and z == 0:
+        return 0j
     hv = complex(eval_jet(f.h, z, order=0).d0)
     gv = complex(eval_jet(f.g, z, order=0).d0)
     if f.m == 0:
         return hv * gv.conjugate()
-    zp = zpow_value(z, (f.beta + 1) * f.m)
-    zq = zpow_value(z, f.beta * f.m)
-    return zp * hv * (zq * gv).conjugate()
+    return zpow_value(z, a) * hv * (zpow_value(z, b) * gv).conjugate()
 
 
 def wirtinger(f: LogHarmonicMap, z: complex) -> tuple[complex, complex, complex]:
@@ -295,15 +304,12 @@ def wirtinger(f: LogHarmonicMap, z: complex) -> tuple[complex, complex, complex]
     g0, g1 = complex(gj.d0), complex(gj.d1)
     if f.m == 0:
         return h1 * g0.conjugate(), h0 * g1.conjugate(), h0 * g0.conjugate()
-    beta, m = f.beta, f.m
-    zp_a = zpow_value(z, (beta + 1) * m)        # z^((b+1)m)
-    zq_b = zpow_value(z, beta * m)              # z^(b m)
+    a, b = f.exponents
+    zp_a = zpow_value(z, a)
+    zq_b = zpow_value(z, b)
     f_val = zp_a * h0 * (zq_b * g0).conjugate()
-    zp_a1 = zpow_value(z, (beta + 1) * m - 1)
-    zq_b1 = zpow_value(z, beta * m - 1)
-    H0 = z * h1 + (beta + 1) * m * h0
-    f_z = zp_a1 * H0 * (zq_b * g0).conjugate()
-    f_zbar = zp_a * h0 * (zq_b1 * (z * g1 + beta * m * g0)).conjugate()
+    f_z = zpow_value(z, a - 1) * (z * h1 + a * h0) * (zq_b * g0).conjugate()
+    f_zbar = zp_a * h0 * (zpow_value(z, b - 1) * (z * g1 + b * g0)).conjugate()
     return f_z, f_zbar, f_val
 
 
@@ -333,18 +339,11 @@ def dbar_pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
     every m (the other derivative operators only when c == 0).
     """
     z = complex(z)
-    try:
-        hj = eval_jet(f.h, z)
-        om = _omega_jet(f, z, hj, eval_jet(f.g, z), hj.derivative())
-    except ZeroDivisionError as exc:
-        raise PoleEncountered(str(exc), point=z) from None
+    om = _omega_jet(f, z, eval_jet(f.h, z, order=2), eval_jet(f.g, z, order=2))
     w0, w1 = complex(om.d0), complex(om.d1)
     if not (np.isfinite(w0) and np.isfinite(w1)):
         raise PoleEncountered("non-finite dilatation jet", point=z)
-    mod = abs(w0)
-    if mod >= 1:
-        raise NotSensePreserving(point=z, modulus=mod)
-    denom = 1 - mod ** 2
+    denom = _sense_preserving(z, w0)
     return complex(-abs(w1) ** 2 / denom ** 2)
 
 

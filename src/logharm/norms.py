@@ -35,6 +35,11 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 _INNER_RADIUS = 1e-3
 
 
+def _check_r_max(r_max: float) -> None:
+    if not 0 < r_max <= 1 - 1e-6:
+        raise ValueError("r_max must lie in (0, 1 - 1e-6]")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Polar sampling schedule; defaults give just over 1e5 samples."""
@@ -47,8 +52,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.radial_levels < 2:
             raise ValueError("radial_levels must be at least 2")
-        if not 0 < self.r_max <= 1 - 1e-6:
-            raise ValueError("r_max must lie in (0, 1 - 1e-6]")
+        _check_r_max(self.r_max)
         if self.angular_count < 8:
             raise ValueError("angular_count must be at least 8")
         if self.refine_rounds < 0:
@@ -263,10 +267,11 @@ def radial_profile(
     When the tail of the table is non-decreasing, the supremum is being
     approached at the boundary and a linear extrapolation to r = 1 is
     reported as `boundary_estimate`.  Raises `AllSamplesFailed` when no
-    sample is finite.
+    sample is finite, and ValueError for an r_max outside (0, 1 - 1e-6].
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
+    _check_r_max(r_max)
     rs = np.linspace(0.0, r_max, samples)
     with np.errstate(all="ignore"):
         vals = np.abs(field(rs.astype(complex)))

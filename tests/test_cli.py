@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 
@@ -325,6 +326,22 @@ def test_profile_defaults_to_csv(capsys):
     assert first == pytest.approx([0.0, 3.0], abs=1e-12)
 
 
+def test_profile_rejects_r_max_outside_the_disk(capsys):
+    code, out, err = run(capsys, "profile", "--expr", "z", "--r-max", "1.5")
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and "r_max" in error["message"]
+
+
+def test_eval_map_value_at_origin_with_negative_re_b(capsys):
+    code, report, _ = run_json(
+        capsys, "eval", "--op", "map-value", "--m", "3", "--beta=-0.3333333333333333",
+        "--h", "1/(1-z)", "--g", "1-z", "--z", "0",
+    )
+    assert code == 0
+    assert report["value"] == [0.0, 0.0]
+
+
 def test_profile_json_boundary_estimate(capsys):
     code, report, _ = run_json(
         capsys, "profile", *GAP_ONE, "--samples", "200", "--format", "json"
@@ -358,6 +375,32 @@ def test_csv_format_for_fixture_rows(capsys):
     code, out, _ = run(capsys, "fixtures", "run", "vanishing-simple", *GRID, "--format", "csv")
     assert code == 0
     assert out.startswith("metric,")
+
+
+def test_csv_format_of_a_flat_report_parses_cell_by_cell(capsys):
+    code, out, _ = run(capsys, "norm", "--kind", "pre", *GAP_FIVE, *GRID, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    cells = dict(rows[1:])
+    assert cells["subcommand"] == "norm"
+    assert json.loads(cells["inputs"]) == {
+        "m": 0, "beta": [0.0, 0.0], "h": "z/(1-z)", "g": "1/(1-z)"
+    }
+    assert json.loads(cells["diverged"]) is False
+    assert json.loads(cells["grid"])["angular_count"] == 64
+    assert json.loads(cells["value"]) == pytest.approx(5.0, abs=0.01)
+
+
+def test_text_format_of_fixture_rows(capsys):
+    code, out, _ = run(capsys, "fixtures", "run", "vanishing-simple", *GRID, "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert "passed: true" in lines
+    rows = [line for line in lines if line.startswith("  - metric=")]
+    assert len(rows) == 5
+    assert rows[0].startswith("  - metric=jacobian_at, arg=[0.5, 0.0], expected=48.0, ")
+    assert all(", relative=false, ok=true, source=" in line for line in rows)
 
 
 def test_usage_errors_exit_two(capsys):

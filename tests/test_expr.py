@@ -210,6 +210,14 @@ def test_wirtinger_pair_is_analytic():
     assert dzbar == 0
 
 
+def test_power_with_z_dependent_exponent():
+    # (1+z)^z is exp(z log(1+z)) by definition of the principal power
+    got = eval_jet(parse("(1+z)^z"), 0.3 - 0.2j)
+    want = eval_jet(parse("exp(z*log(1+z))"), 0.3 - 0.2j)
+    for a, b in zip(got.coeffs, want.coeffs):
+        assert abs(a - b) <= 1e-12 * (1 + abs(b))
+
+
 def test_pole_carries_point():
     with pytest.raises(PoleEncountered) as exc:
         eval_jet(parse("1/(1-z)"), 1 + 0j)

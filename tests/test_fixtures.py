@@ -22,6 +22,17 @@ def test_catalog_lists_known_names():
         assert expected in names
 
 
+def test_every_catalog_metric_is_a_key_of_the_metric_table():
+    used = {check["metric"] for name in fixture_names() for check in load_fixture(name).checks}
+    assert used <= set(fixtures._METRICS)
+
+
+def test_unknown_metric_raises():
+    fx = load_fixture("koebe")
+    with pytest.raises(ValueError, match="unknown metric"):
+        fixtures._evaluate_metric(fx, "no_such_metric", None, RUN_GRID, {})
+
+
 def test_load_unknown_name_raises():
     with pytest.raises(KeyError):
         load_fixture("no-such-fixture")

@@ -4,6 +4,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +137,28 @@ def test_dilatation_degenerate_denominator():
         dilatation(f, 0.5)
 
 
+@pytest.mark.parametrize("op", [dilatation, jacobian, dbar_pre_schwarzian, pre_schwarzian])
+def test_every_scalar_operator_reports_a_vanishing_dilatation_denominator(op):
+    # a + z h'/h = 1 - 2z vanishes at 1/2; h' g vanishes everywhere for h = g = 1
+    for f, z, message in (
+        (LogHarmonicMap.from_strings(1, 0, "exp(-2*z)", "1"), 0.5, "(beta+1)m + z h'/h"),
+        (LogHarmonicMap.from_strings(0, 0, "1", "1"), 0.3 + 0.1j, "h' g vanished"),
+    ):
+        with pytest.raises(DegenerateDenominator, match=re.escape(message)) as err:
+            op(f, z)
+        assert err.value.point == z
+
+
+@pytest.mark.parametrize("name", ["starlike-vanishing", "complex-beta", "vanishing-simple"])
+def test_exponents_give_the_origin_limits(name):
+    f = build(name)
+    a, b = f.exponents
+    assert (a, b) == ((f.beta + 1) * f.m, f.beta * f.m)
+    assert origin_exponent(f) == a + b - 1
+    # numpy's complex division can differ from Python's in the last bit
+    assert dilatation(f, 0) == pytest.approx(b / a, rel=1e-15)
+
+
 # -- jacobian and wirtinger ----------------------------------------------
 
 
@@ -186,6 +210,18 @@ def test_starlike_functional_from_wirtinger(starlike_vanishing):
         got = z * fz / val - z.conjugate() * fzb / val
         want = 1 + 2 * (z / (1 - z)).real
         assert got.real == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("m, beta", [(3, -1 / 3), (2, -1 / 4)])
+def test_map_value_is_zero_at_the_origin_when_re_b_is_negative(m, beta):
+    # b = beta m = -1, -1/2 has Re(b) <= 0, but |f| = |z|^Re(a+b) |h g| -> 0
+    f = LogHarmonicMap.from_strings(m, beta, "1/(1-z)", "1-z")
+    assert map_value(f, 0) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = map_value(f, np.array([0j, 0.5]))
+    assert values[0] == 0
+    assert values[1] == pytest.approx(map_value(f, 0.5), rel=1e-14)
 
 
 def test_map_value_spot_checks():
@@ -391,6 +427,19 @@ def test_dbar_schwarzian_fd():
             assert abs(approx - got) <= 1e-4 * (1 + abs(got)), (name, z)
 
 
+def test_dbar_pre_schwarzian_needs_sense_preserving():
+    f = LogHarmonicMap.from_strings(0, 0, "exp(z)", "exp(z^2)")  # omega = 2z
+    with pytest.raises(NotSensePreserving) as err:
+        dbar_pre_schwarzian(f, 0.6)
+    assert err.value.modulus == pytest.approx(1.2)
+
+
+def test_jacobian_at_a_singular_origin(starlike_vanishing):
+    # c = 4: G = z^4 g vanishes at the origin, and so does J_f
+    assert origin_exponent(starlike_vanishing) == 4
+    assert jacobian(starlike_vanishing, 0) == 0.0
+
+
 def test_dbar_vanishes_for_constant_dilatation():
     f = build("constant-dilatation")
     for z in (0.3, -0.4 + 0.4j, 0.6j):
@@ -439,6 +488,11 @@ def test_compose_critical_point(gap_one):
         compose_with_analytic(gap_one, parse("z^2"), 0)
     with pytest.raises(ValueError):
         compose_with_analytic(gap_one, parse("2*z"), 0.7)  # leaves the disk
+
+
+def test_compose_rejects_vanishing_order(starlike_vanishing):
+    with pytest.raises(ValueError, match="m = 0"):
+        compose_with_analytic(starlike_vanishing, parse("0.5*z"), 0.3)
 
 
 # -- scalar operators against their field closures -----------------------

@@ -260,6 +260,15 @@ def test_radial_profile_linear_families(gap_one):
     assert koebe.boundary_estimate == pytest.approx(6.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("r_max", [1.5, 1.0, 0.0, -0.5])
+def test_radial_profile_rejects_r_max_outside_the_disk(r_max):
+    # the same rule as GridSpec: 0 < r_max <= 1 - 1e-6
+    with pytest.raises(ValueError, match="r_max"):
+        radial_profile(constant_one, 1, 10, r_max)
+    with pytest.raises(ValueError, match="r_max"):
+        GridSpec(r_max=r_max)
+
+
 def test_radial_profile_constant_field():
     prof = radial_profile(constant_one, 1, 100)
     assert prof.rows[0] == (0.0, 1.0)
