@@ -2,7 +2,8 @@
 """Print the sharp-constant scoreboard: estimated norms vs closed-form targets.
 
 The maps and their targets come from the fixture catalog (fixtures.json);
-each row is one norm row of `run_fixture` on the requested grid.
+each row is one norm row of `run_fixture` on the requested grid, with its
+`ok` against the catalog tolerance.  Exits 1 when any row is not ok.
 """
 import argparse
 import sys
@@ -44,15 +45,20 @@ def main() -> int:
         if fixture not in results:
             results[fixture] = {r.metric: r for r in run_fixture(fixture, grid).rows}
         row = results[fixture][metric]
-        rows.append((label, row.computed, row.expected))
+        rows.append((label, row.computed, row.expected, row.ok))
     elapsed = time.perf_counter() - t0
 
     width = max(len(r[0]) for r in rows)
-    print(f"{'case':<{width}}  {'estimate':>16}  {'target':>12}  {'deviation':>10}")
-    for label, got, target in rows:
-        print(f"{label:<{width}}  {got:>16.10f}  {target:>12.8f}  {abs(got - target):>10.2e}")
-    print(f"\n{len(rows)} norms on a {grid.radial_levels}x{grid.angular_count} grid in {elapsed:.1f}s")
-    return 0
+    print(f"{'case':<{width}}  {'estimate':>16}  {'target':>12}  {'deviation':>10}  ok")
+    for label, got, target, ok in rows:
+        print(
+            f"{label:<{width}}  {got:>16.10f}  {target:>12.8f}  {abs(got - target):>10.2e}"
+            f"  {'yes' if ok else 'NO'}"
+        )
+    failed = sum(not ok for *_, ok in rows)
+    print(f"\n{len(rows)} norms on a {grid.radial_levels}x{grid.angular_count} grid in {elapsed:.1f}s"
+          f", {failed} outside tolerance")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

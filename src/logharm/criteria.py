@@ -263,9 +263,14 @@ def _starlike_margin_field(f: LogHarmonicMap):
         gj = eval_jet(f.g, z, order=1)
         small = np.fmin(np.abs(hj.d0), np.abs(gj.d0))
         if np.any(small < 1e-12):
-            k = int(np.nanargmin(small))
+            # the witness is the smallest value on the first level (row of a
+            # level block) that holds a zero, whatever the block size
+            rows = small.reshape(-1, z.shape[-1])
+            i = int(np.argmax(np.any(rows < 1e-12, axis=1)))
+            k = int(np.nanargmin(rows[i]))
             raise ZeroEncountered(
-                "the map vanishes away from the origin", point=complex(z.flat[k])
+                "the map vanishes away from the origin",
+                point=complex(z.reshape(rows.shape)[i, k]),
             )
         val = a + z * hj.d1 / hj.d0 - np.conj(b + z * gj.d1 / gj.d0)
         return -np.real(val)

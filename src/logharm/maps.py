@@ -125,8 +125,8 @@ def _omega_jet(f: LogHarmonicMap, z, hj: Jet, gj: Jet) -> Jet:
     as a jet one order below those of h and g.
 
     It is regular at the origin even when c != 0.  On a scalar z it raises
-    DegenerateDenominator where the denominator vanishes; on an array the
-    division leaves NaN there.
+    DegenerateDenominator where the denominator vanishes, and PoleEncountered
+    at z where h or g does; on an array the division leaves NaN there.
     """
     gp, hp = gj.derivative(), hj.derivative()
     if f.m == 0:
@@ -134,8 +134,13 @@ def _omega_jet(f: LogHarmonicMap, z, hj: Jet, gj: Jet) -> Jet:
     else:
         a, b = f.exponents
         zj = Jet.variable(z, hp.order)
-        den = a + zj * (hp / hj)
-        num = zj * (gp / gj) + b
+        try:
+            den = a + zj * (hp / hj)
+            num = zj * (gp / gj) + b
+        except PoleEncountered as exc:
+            if exc.point is None and not isinstance(z, np.ndarray):
+                exc.point = z
+            raise
     if not isinstance(z, np.ndarray):
         d0 = complex(den.d0)
         if f.m == 0 and d0 == 0:

@@ -159,6 +159,17 @@ def test_eval_pole_is_structured_error(capsys):
         assert json.loads(err)["error"]["type"] == "AllSamplesFailed", argv
 
 
+@pytest.mark.parametrize("op", ["dilatation", "preschwarzian", "schwarzian", "phi"])
+def test_eval_vanishing_factor_error_carries_the_point(capsys, op):
+    code, out, err = run(
+        capsys, "eval", "--op", op, "--m", "1", "--h", "1-2*z", "--g", "1", "--z", "0.5"
+    )
+    assert (code, out) == (2, "")
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "PoleEncountered"
+    assert payload["point"] == [0.5, 0.0]
+
+
 def test_eval_overflow_near_boundary_is_one_json_error(capsys):
     # exp(z/(1-z)) overflows at 0.999; stderr carries the typed error only
     for op in ("preschwarzian", "hg-eps-preschwarzian"):

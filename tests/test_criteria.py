@@ -24,7 +24,7 @@ from logharm.criteria import (
 )
 from logharm.expr import eval_value, parse
 from logharm.maps import LogHarmonicMap, pre_schwarzian, wirtinger
-from logharm.norms import GridSpec
+from logharm.norms import _INNER_RADIUS, GridSpec, _radii
 
 from conftest import build
 
@@ -208,6 +208,18 @@ def test_starlike_zero_off_origin_raises():
     f = LogHarmonicMap.from_strings(0, 0, "1-1000*z", "1")
     with pytest.raises(ZeroEncountered):
         starlike_check(f, COARSE)
+
+
+def test_starlike_zero_witness_is_on_the_first_level_with_a_zero():
+    # h is 1e-13 * (1 - r10/r11) at z = r10 and exactly 0 at z = r11: both
+    # below the zero threshold, on two levels of one block.  The witness is
+    # the first of them, as a walk over single levels finds it.
+    radii = _radii(_INNER_RADIUS, COARSE.r_max, COARSE.radial_levels)
+    r10, r11 = float(radii[10]), float(radii[11])
+    f = LogHarmonicMap.from_strings(0, 0, f"(1-z/{r10!r}+1e-13)*(1-z/{r11!r})", "1")
+    with pytest.raises(ZeroEncountered) as err:
+        starlike_check(f, COARSE)
+    assert err.value.point == r10
 
 
 def test_associated_starlike_examples(starlike_vanishing):

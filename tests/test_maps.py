@@ -149,6 +149,16 @@ def test_every_scalar_operator_reports_a_vanishing_dilatation_denominator(op):
         assert err.value.point == z
 
 
+@pytest.mark.parametrize("op", [dilatation, pre_schwarzian, schwarzian, phi_family])
+def test_a_vanishing_factor_is_a_pole_at_the_point(op):
+    # m >= 1 divides by h and g inside the dilatation; each vanishes at 1/2
+    for h, g in (("1-2*z", "1"), ("1", "1-2*z")):
+        f = LogHarmonicMap.from_strings(1, 0, h, g)
+        with pytest.raises(PoleEncountered) as err:
+            op(f, 0.5)
+        assert err.value.point == 0.5
+
+
 @pytest.mark.parametrize("name", ["starlike-vanishing", "complex-beta", "vanishing-simple"])
 def test_exponents_give_the_origin_limits(name):
     f = build(name)

@@ -10,7 +10,7 @@ import pytest
 from logharm.criteria import NORM_TOL
 from logharm.errors import AllSamplesFailed
 from logharm.expr import Mul, parse
-from logharm.fixtures import fixture_names
+from logharm.fixtures import fixture_names, load_fixture
 from logharm.maps import (
     LogHarmonicMap,
     _phi_logderiv,
@@ -23,7 +23,11 @@ from logharm.maps import (
     schwarzian_field,
 )
 from logharm.norms import (
+    _INNER_RADIUS,
+    _ZOOM_POINTS,
+    _ZOOM_ROUNDS,
     GridSpec,
+    _radii,
     bloch_norm_log,
     level_walk,
     pre_schwarzian_norm,
@@ -137,11 +141,63 @@ def test_refine_stops_after_a_round_that_moves_nothing():
 
     grid = GridSpec(radial_levels=20, angular_count=32, refine_rounds=3)
     est = weighted_sup(counted, 1, grid)
-    # one-point calls: the origin level, one round (a radial and an angular
-    # golden-section search of 34 calls each), the re-evaluation at the argmax
-    assert sizes.count(1) == 1 + 2 * 34 + 1
+    # the origin, the other 19 levels in one block, one round (a radial and
+    # an angular zoom search of _ZOOM_ROUNDS calls each), the re-evaluation
+    zoom = [_ZOOM_POINTS] * _ZOOM_ROUNDS
+    assert sizes == [1, 19 * 32] + zoom + zoom + [1]
     assert est.refine_values == (1.0,) * (grid.refine_rounds + 1)
     assert (est.value, est.argmax) == (1.0, 0j)
+
+
+@pytest.mark.parametrize("name", ["mobius-gap-a60", "mobius-gap-a90", "mobius-gap-a99"])
+def test_refine_reaches_interior_closed_forms(name):
+    # the sup is inside the disk, so the refine, not the grid, sets the digits
+    expect = next(
+        c["expect"] for c in load_fixture(name).checks if c["metric"] == "pre_schwarzian_norm"
+    )
+    est = pre_schwarzian_norm(build(name), GridSpec())
+    assert est.value == pytest.approx(expect, rel=1e-13)
+    assert all(b >= a for a, b in zip(est.refine_values, est.refine_values[1:]))
+    assert est.value >= est.refine_values[-1]
+
+
+def _per_level_walk(level_fn, grid, inner):
+    """The walk one level per call: (value, point, level, theta, samples, failed)."""
+    radii = _radii(inner, grid.r_max, grid.radial_levels)
+    thetas = np.arange(grid.angular_count) * (2.0 * math.pi / grid.angular_count)
+    best = (-math.inf, 0j, 0, 0.0)
+    total = failed = 0
+    for i, r in enumerate(radii):
+        r = float(r)
+        ts = thetas[:1] if r == 0.0 else thetas
+        zs = r * np.exp(1j * ts)
+        vals = np.asarray(level_fn(r, zs), dtype=float)
+        ok = np.isfinite(vals)
+        total += vals.size
+        failed += int(vals.size - np.count_nonzero(ok))
+        if ok.any():
+            j = int(np.argmax(np.where(ok, vals, -math.inf)))
+            if vals[j] > best[0]:
+                best = (float(vals[j]), complex(zs[j]), i, float(ts[j]))
+    return best + (total, failed)
+
+
+@pytest.mark.parametrize(
+    "name, make_field, p",
+    [(n, pre_schwarzian_field, 1) for n in fixture_names()] + [("koebe", schwarzian_field, 2)],
+)
+def test_level_blocks_keep_every_witness(name, make_field, p):
+    # 60x64 walks blocks of 32 levels, 37x96 of 21; neither divides the
+    # levels.  c == 0 maps (m = 1 for vanishing-simple) start at r = 0,
+    # c != 0 maps (starlike-vanishing) at the inner radius.
+    f = build(name)
+    field = make_field(f)
+    inner = _INNER_RADIUS if origin_exponent(f) != 0 else 0.0
+    level_fn = lambda r, zs: np.abs(field(zs)) * ((1.0 - r * r) ** p)
+    for grid in (SMALL, GridSpec(radial_levels=37, angular_count=96)):
+        walk = level_walk(level_fn, grid, inner)
+        got = (walk.value, walk.point, walk.level, walk.theta, walk.samples, walk.failed)
+        assert got == _per_level_walk(level_fn, grid, inner)
 
 
 @pytest.mark.parametrize(
@@ -162,6 +218,17 @@ def test_sweep_matches_one_call_reference(name, make_field, p):
         runs.append((est.value, est.argmax, est.samples, est.refine_values))
     assert runs[0][3][0] == ref_value
     assert runs[0] == runs[1]
+
+
+def test_level_blocks_break_ties_in_r_theta_order():
+    # floor(2 Im z) = 1 on every sample with Im z >= 1/2, across levels,
+    # angles and blocks; the first of them in (r, theta) order is the witness
+    level_fn = lambda r, zs: np.floor(2.0 * zs.imag) + 0.0 * r
+    for grid in (SMALL, GridSpec(radial_levels=37, angular_count=96)):
+        walk = level_walk(level_fn, grid)
+        got = (walk.value, walk.point, walk.level, walk.theta, walk.samples, walk.failed)
+        assert got == _per_level_walk(level_fn, grid, 0.0)
+        assert walk.value == 1.0
 
 
 def test_resolution_doubling_stability(gap_five):
