@@ -136,7 +136,7 @@ def _a5_margin_field(f: LogHarmonicMap, eps: complex):
     one_minus = abs(1 - eps)
 
     def margin(z):
-        omega, G, H = _raw_local(f, z, 0j)  # m = 0, so c = 0
+        omega, G, H = _raw_local(f, z, 0j, 2)  # m = 0, so c = 0
         w0, w1 = omega.d0, omega.d1
         pf = _pre_kernel(w0, w1, _phi_logderiv(G, H))
         lhs = (

@@ -5,11 +5,27 @@ a_k = f^(k)(p)/k! for k = 0..n (n <= 3 here; three derivatives is all the
 Schwarzian machinery ever needs).  Arithmetic is exact truncated-series
 arithmetic, so evaluating an expression tree on ``Jet.variable(p)``
 produces the value and first three derivatives of the expression at p in
-one pass, without symbolic differentiation or finite differences.
+one pass, without symbolic differentiation or finite differences.  It is
+triangular: coefficient k never reads a coefficient above k, so a jet of
+order n is, bit for bit, the first n + 1 coefficients of the same jet at a
+higher order, and a caller evaluates at the lowest order its formula reads
+(Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 
 Coefficients may be Python complex scalars or numpy arrays; mixing the two
 broadcasts elementwise, which is what the grid-sweep code relies on.  On
-the scalar path a vanishing denominator (division, log, negative power)
+the array path two things keep the numpy work to what can be nonzero:
+
+- a product term that is a scalar zero times an array (the zero tail of a
+  constant or of the jet of z) is left out rather than computed as an
+  array of zeros; on the scalar path every term is computed, so an inf
+  times a zero tail still gives NaN there;
+- the logarithm of an array is ``log|a| + i atan2(Im a, Re a)``, with the
+  real part taken as ``0.5 log1p(|a|^2 - 1)`` for |a|^2 >= 1/2, where
+  ``|a|^2 - 1 = (M-1)(M+1) + m^2`` keeps its relative accuracy (M and m
+  the larger and smaller of |Re a| and |Im a|).  It agrees with ``np.log``
+  to a few ulp of |log a| at a quarter of the cost; scalars use ``np.log``.
+
+On the scalar path a vanishing denominator (division, log, negative power)
 raises :class:`PoleEncountered`; ``maps.as_field`` lifts array formulas,
 silencing numpy warnings, masking non-finite entries and reading such a
 raise on a z-independent coefficient as a field that is NaN everywhere.
@@ -30,6 +46,32 @@ _NUMERIC = (int, float, complex)
 
 def _is_scalar_zero(x) -> bool:
     return not isinstance(x, np.ndarray) and complex(x) == 0
+
+
+def _skips(x, y) -> bool:
+    """True when x * y is a scalar zero times an array: a structural zero
+    that array arithmetic leaves out.  Jets whose value coefficient is a
+    scalar compute every product and never call this."""
+    if type(x) is np.ndarray:
+        return type(y) is not np.ndarray and y == 0
+    return type(y) is np.ndarray and x == 0
+
+
+def _log(a):
+    """Principal log; see the module docstring for the array form."""
+    if type(a) is not np.ndarray:
+        return np.log(a)
+    x, y = a.real, a.imag
+    ax, ay = np.abs(x), np.abs(y)
+    big, small = np.maximum(ax, ay), np.minimum(ax, ay)
+    with np.errstate(all="ignore"):
+        r2m1 = (big - 1) * (big + 1) + small * small
+        near = (r2m1 >= -0.5) & (r2m1 < np.inf)
+        re = np.where(near, 0.5 * np.log1p(r2m1), np.log(np.abs(a)))
+    out = np.empty(a.shape, dtype=complex)
+    out.real = re
+    out.imag = np.arctan2(y, x)
+    return out
 
 
 def _as_exact_int(w) -> int | None:
@@ -146,12 +188,16 @@ class Jet:
             return NotImplemented
         n = min(self.order, o.order)
         a, b = self.coeffs, o.coeffs
+        arrays = type(a[0]) is np.ndarray or type(b[0]) is np.ndarray
         out = []
         for k in range(n + 1):
-            acc = a[0] * b[k]
-            for i in range(1, k + 1):
-                acc = acc + a[i] * b[k - i]
-            out.append(acc)
+            acc = None
+            for i in range(k + 1):
+                if arrays and _skips(a[i], b[k - i]):
+                    continue
+                term = a[i] * b[k - i]
+                acc = term if acc is None else acc + term
+            out.append(0j if acc is None else acc)
         return Jet(out)
 
     __rmul__ = __mul__
@@ -164,11 +210,13 @@ class Jet:
         a, b = self.coeffs, o.coeffs
         if _is_scalar_zero(b[0]):
             raise PoleEncountered("division by zero")
+        arrays = type(a[0]) is np.ndarray or type(b[0]) is np.ndarray
         out = [a[0] / b[0]]
         for k in range(1, n + 1):
             acc = a[k]
             for i in range(k):
-                acc = acc - out[i] * b[k - i]
+                if not (arrays and _skips(out[i], b[k - i])):
+                    acc = acc - out[i] * b[k - i]
             out.append(acc / b[0])
         return Jet(out)
 
@@ -180,12 +228,16 @@ class Jet:
 
     def exp(self) -> "Jet":
         a = self.coeffs
+        arrays = type(a[0]) is np.ndarray
         out = [np.exp(a[0])]
         for k in range(1, self.order + 1):
-            acc = 1 * a[1] * out[k - 1]
-            for j in range(2, k + 1):
-                acc = acc + j * a[j] * out[k - j]
-            out.append(acc / k)
+            acc = None
+            for j in range(1, k + 1):
+                if arrays and _skips(a[j], out[k - j]):
+                    continue
+                term = j * a[j] * out[k - j]
+                acc = term if acc is None else acc + term
+            out.append(0j if acc is None else acc / k)
         return Jet(out)
 
     def log(self) -> "Jet":
@@ -193,11 +245,13 @@ class Jet:
         a = self.coeffs
         if _is_scalar_zero(a[0]):
             raise PoleEncountered("log of zero")
-        out = [np.log(a[0])]
+        arrays = type(a[0]) is np.ndarray
+        out = [_log(a[0])]
         for k in range(1, self.order + 1):
             acc = k * a[k]
             for j in range(1, k):
-                acc = acc - j * out[j] * a[k - j]
+                if not (arrays and _skips(out[j], a[k - j])):
+                    acc = acc - j * out[j] * a[k - j]
             out.append(acc / (k * a[0]))
         return Jet(out)
 
@@ -251,7 +305,7 @@ def zpow_jet(z, w, order: int = 2) -> Jet:
     Taylor coefficients are binomial: a_k = C(w, k) z^(w-k)."""
     if w == 0:
         return Jet.constant(1.0 + 0j, order)
-    v = np.exp(w * np.log(z))
+    v = np.exp(w * _log(z))
     coeffs = [v]
     binom = 1.0 + 0j
     for k in range(1, order + 1):

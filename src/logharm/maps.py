@@ -1,22 +1,23 @@
 """Log-harmonic mappings and their Schwarzian-type derivatives.
 
 A mapping here is f(z) = z^a h(z) conj(z^b g(z)) on the unit disk, with
-(a, b) = `f.exponents` = ((beta+1) m, beta m), integer vanishing order
-m >= 0, exponent parameter beta with Re(beta) > -1/2, and analytic factors
-h, g given as expression trees.  For real beta this is the familiar
-z^m |z|^(2 beta m) h(z) conj(g(z)); the powered form is used throughout
+(a, b) = `f.exponents` = ((beta+1) m, conj(beta) m), integer vanishing
+order m >= 0, exponent parameter beta with Re(beta) > -1/2, and analytic
+factors h, g given as expression trees.  With principal branches,
+z^a conj(z^b) = z^m exp(2 beta m log|z|), so this is the paper's
+z^m |z|^(2 beta m) h(z) conj(g(z)) for complex beta as well, continuous
+across the negative real axis.  The powered form is used throughout
 because every closed formula below (dilatation, Jacobian, pre-Schwarzian,
-Schwarzian) is then an exact identity for complex beta as well, principal
-branches understood.  `exponents` is the only place beta and m enter a
-formula.
+Schwarzian) is an exact identity in it.  `exponents` is the only place
+beta and m enter a formula.
 
 For m = 0 the mapping degenerates to h * conj(g) and a = b = 0.  At the
 origin P_f = c/z + O(1) and S_f = -c(1 + c/2)/z^2 + ..., with
-c = `origin_exponent(f)` = a + b - 1 the power in G = z^c g below (0 when
-m = 0), so both weighted norms are infinite iff c != 0 (Re c > -1 excludes
-c = -2).  Only then do derivative-level operators require |z| >= 1e-8;
-otherwise, and for value-level operators always, the origin gives the
-z -> 0 limit.
+c = `origin_exponent(f)` = a + b - 1 = (2 Re(beta) + 1) m - 1 the power in
+G = z^c g below (0 when m = 0), so both weighted norms are infinite iff
+c != 0 (c > -1 excludes c = -2).  Only then do derivative-level operators
+require |z| >= 1e-8; otherwise, and for value-level operators always, the
+origin gives the z -> 0 limit.
 
 The second (analytic) dilatation is
 
@@ -91,8 +92,8 @@ class LogHarmonicMap:
 
     @property
     def exponents(self) -> tuple[complex, complex]:
-        """(a, b) with f = z^a h conj(z^b g): a = (beta+1) m, b = beta m."""
-        return (self.beta + 1) * self.m, self.beta * self.m
+        """(a, b) with f = z^a h conj(z^b g): a = (beta+1) m, b = conj(beta) m."""
+        return (self.beta + 1) * self.m, self.beta.conjugate() * self.m
 
 
 @dataclass(frozen=True)
@@ -150,17 +151,19 @@ def _omega_jet(f: LogHarmonicMap, z, hj: Jet, gj: Jet) -> Jet:
     return num / den
 
 
-def _raw_local(f: LogHarmonicMap, z, c: complex):
-    """(omega_jet, G_jet, H_jet) at z, with c = origin_exponent(f); works on
-    scalars and arrays alike."""
-    hj = eval_jet(f.h, z)
-    gj = eval_jet(f.g, z)
+def _raw_local(f: LogHarmonicMap, z, c: complex, order: int = 3):
+    """(omega_jet, G_jet, H_jet) at z, with c = origin_exponent(f), as jets
+    of order ``order - 1`` from h and g of order ``order``; works on scalars
+    and arrays alike.  Order 2 is all P_f reads, order 3 adds S_f's second
+    derivatives."""
+    hj = eval_jet(f.h, z, order)
+    gj = eval_jet(f.g, z, order)
     omega = _omega_jet(f, z, hj, gj)
     if f.m == 0:
-        return omega, gj.truncate(2), hj.derivative()
+        return omega, gj.truncate(order - 1), hj.derivative()
     a, _ = f.exponents
-    H = Jet.variable(z, 2) * hj.derivative() + a * hj
-    G = zpow_jet(z, c, order=2) * gj
+    H = Jet.variable(z, order - 1) * hj.derivative() + a * hj
+    G = zpow_jet(z, c, order=order - 1) * gj
     return omega, G, H
 
 
@@ -314,7 +317,10 @@ def wirtinger(f: LogHarmonicMap, z: complex) -> tuple[complex, complex, complex]
     zq_b = zpow_value(z, b)
     f_val = zp_a * h0 * (zq_b * g0).conjugate()
     f_z = zpow_value(z, a - 1) * (z * h1 + a * h0) * (zq_b * g0).conjugate()
-    f_zbar = zp_a * h0 * (zpow_value(z, b - 1) * (z * g1 + b * g0)).conjugate()
+    # conj of (z^b g)' = z^b g' + b z^(b-1) g; the second term is absent when
+    # b == 0, which keeps the origin evaluable there
+    dg = zq_b * g1 if b == 0 else zq_b * g1 + b * zpow_value(z, b - 1) * g0
+    f_zbar = zp_a * h0 * dg.conjugate()
     return f_z, f_zbar, f_val
 
 
@@ -451,11 +457,11 @@ def as_field(formula, real: bool = False):
     return field
 
 
-def _array_local(f: LogHarmonicMap, z: np.ndarray, c: complex):
+def _array_local(f: LogHarmonicMap, z: np.ndarray, c: complex, order: int):
     """`_raw_local` on an array, with the origin masked out when c != 0."""
     if c != 0:
         z = np.where(np.abs(z) < ORIGIN_RADIUS, np.nan + 1j * np.nan, z)
-    return _raw_local(f, z, c)
+    return _raw_local(f, z, c, order)
 
 
 def pre_schwarzian_field(f: LogHarmonicMap):
@@ -463,7 +469,7 @@ def pre_schwarzian_field(f: LogHarmonicMap):
     c = origin_exponent(f)
 
     def formula(z):
-        omega, G, H = _array_local(f, z, c)
+        omega, G, H = _array_local(f, z, c, 2)
         p = _pre_kernel(omega.d0, omega.d1, _phi_logderiv(G, H))
         return np.where(np.abs(omega.d0) < 1, p, np.nan)
 
@@ -475,7 +481,7 @@ def schwarzian_field(f: LogHarmonicMap):
     c = origin_exponent(f)
 
     def formula(z):
-        omega, G, H = _array_local(f, z, c)
+        omega, G, H = _array_local(f, z, c, 3)
         s = _schwarzian_kernel(
             omega.d0, omega.d1, omega.d2, _phi_logderiv(G, H), _phi_schwarzian(G, H)
         )
@@ -507,7 +513,7 @@ def hg_epsilon_field(f: LogHarmonicMap, eps: complex):
     eps = complex(eps)
 
     def formula(z):
-        omega, G, H = _raw_local(f, z, 0j)  # m = 0, so c = 0
+        omega, G, H = _raw_local(f, z, 0j, 2)  # m = 0, so c = 0
         return _hg_kernel(eps, omega.d0, omega.d1, G.d0, G.d1, H.d0, H.d1)
 
     return as_field(formula)

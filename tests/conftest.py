@@ -15,9 +15,8 @@ from logharm.fixtures import fixture_names, load_fixture
 from logharm.maps import LogHarmonicMap
 from logharm.norms import GridSpec, _radii
 
-# complex beta exercises the powered zbar factor; it is not in the catalog
-# yet (right half-disk only in tests: the z-power modulus jumps across the
-# cut when Im(beta) != 0)
+# complex beta exercises b = conj(beta) m in the powered zbar factor; it is
+# kept out of the catalog, whose maps the benchmark evaluates
 _COMPLEX_BETA = "complex-beta"
 
 

@@ -50,17 +50,12 @@ def _line(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _points(rng: random.Random, n: int, rmin=0.08, rmax=0.72, right_half=False):
+def _points(rng: random.Random, n: int, rmin=0.08, rmax=0.72):
     out = []
     while len(out) < n:
         r = rng.uniform(rmin, rmax)
-        t = rng.uniform(-1.2, 1.2) if right_half else rng.uniform(0, 2 * math.pi)
-        out.append(r * cmath.exp(1j * t))
+        out.append(r * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
     return out
-
-
-def _suite_points(name: str, rng: random.Random, n: int):
-    return _points(rng, n, right_half=(name == "complex-beta"))
 
 
 def _wirt_dz(fn, z, h=FD):
@@ -156,7 +151,7 @@ def test_criterion_5_derivative_identity_suite():
     worst = {"logjac": 0.0, "chain": 0.0, "dbar1": 0.0, "dbar2": 0.0, "area": 0.0}
     for name in IDENTITY_SUITE:
         f = build(name)
-        for z in _suite_points(name, rng, 100):
+        for z in _points(rng, 100):
             p = pre_schwarzian(f, z)
             s = schwarzian(f, z)
 

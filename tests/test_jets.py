@@ -6,7 +6,10 @@ import cmath
 import numpy as np
 import pytest
 
+from logharm import jets, maps, norms
 from logharm.errors import PoleEncountered
+from logharm.expr import eval_jet
+from logharm.fixtures import fixture_names, load_fixture
 from logharm.jets import Jet, zpow_jet, zpow_value
 
 FD_STEP = 1e-5
@@ -150,3 +153,93 @@ def test_zpow_value_origin_rules():
     with pytest.raises(PoleEncountered):
         zpow_value(0j, -0.5 + 2j)
     assert zpow_value(0.5 + 0j, 2) == pytest.approx(0.25)
+
+
+# -- array-path economy ---------------------------------------------------
+
+_BLOCK = (np.array([[0.3], [0.9], [0.999], [1 - 1e-6]])
+          * np.exp(2j * np.pi * np.arange(512) / 512)).ravel()
+
+
+def _catalog_factors():
+    for name in fixture_names():
+        f = load_fixture(name).map
+        yield f"{name}:h", f.h
+        yield f"{name}:g", f.g
+
+
+_FACTORS = dict(_catalog_factors())
+
+
+@pytest.mark.parametrize("label", list(_FACTORS))
+def test_lower_order_jets_are_prefixes_of_order_three(label):
+    # triangular arithmetic: evaluating at the order a kernel reads changes no bit
+    e = _FACTORS[label]
+    with np.errstate(all="ignore"):
+        full = eval_jet(e, _BLOCK, 3).coeffs
+        for order in (0, 1, 2):
+            low = eval_jet(e, _BLOCK, order).coeffs
+            assert len(low) == order + 1
+            for k, (a, b) in enumerate(zip(low, full)):
+                assert type(a) is type(b), (label, order, k)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (label, order, k)
+
+
+def _catalog_fields():
+    for name in fixture_names():
+        fx = load_fixture(name)
+        f = fx.map
+        yield f"P:{name}", maps.pre_schwarzian_field(f)
+        yield f"S:{name}", maps.schwarzian_field(f)
+        yield f"logderiv-g:{name}", norms.logderiv_field(f.g)
+        if f.m == 0:
+            eps = fx.eps if fx.eps is not None else 0.5 + 0.25j
+            yield f"hg:{name}", maps.hg_epsilon_field(f, eps)
+
+
+def test_skipping_structural_zeros_keeps_every_field(monkeypatch):
+    # the reference computes every product term, zero tails included
+    skipped = {label: field(_BLOCK) for label, field in _catalog_fields()}
+    monkeypatch.setattr(jets, "_skips", lambda x, y: False)
+    for label, field in _catalog_fields():
+        want, got = field(_BLOCK), skipped[label]
+        assert np.array_equal(np.isnan(got), np.isnan(want)), label
+        ok = ~np.isnan(want)
+        assert np.array_equal(np.abs(got[ok]), np.abs(want[ok])), label
+
+
+def test_scalar_products_keep_their_zero_tails():
+    # on the scalar path inf times a zero tail is still NaN
+    j = Jet.constant(complex(np.inf, 0)) * Jet.variable(0.5 + 0j)
+    assert np.isnan(j.coeffs[2])
+    assert jets._skips(np.zeros(2, complex), 0j) and not jets._skips(0j, 0j)
+
+
+def _ulps_from_numpy(a):
+    with np.errstate(all="ignore"):
+        want = np.log(a)
+    got = jets._log(a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(got[~finite], want[~finite])
+    np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    return np.abs(got[finite] - want[finite]) / np.spacing(np.abs(want[finite]))
+
+
+def test_array_log_agrees_with_numpy_within_four_ulp():
+    t = np.linspace(0, 2 * np.pi, 4001)
+    neg = -np.geomspace(1e-300, 1e300, 601)
+    cases = {
+        "1 + 1e-8 e^it": 1 + 1e-8 * np.exp(1j * t),
+        "unit circle": np.exp(1j * t),
+        "negative axis, +0.0": neg + 0.0j,
+        "negative axis, -0.0": np.array([complex(x, -0.0) for x in neg]),
+    }
+    for label, a in cases.items():
+        assert _ulps_from_numpy(a).max() <= 4, label
+    special = np.array([0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(np.inf, 0),
+                        complex(-np.inf, 0), complex(np.inf, np.inf), complex(np.nan, 0),
+                        complex(0, np.nan), complex(np.inf, np.nan)])
+    assert _ulps_from_numpy(special).size == 0
+    # scalars keep np.log
+    assert jets._log(-1 - 0j) == np.log(-1 - 0j)
