@@ -40,8 +40,11 @@ from .maps import (
     analytic_schwarzian,
     compose_with_analytic,
     dbar_pre_schwarzian,
+    dbar_pre_schwarzian_field,
     dbar_schwarzian,
+    dbar_schwarzian_field,
     dilatation,
+    dilatation_field,
     hg_epsilon_pre_schwarzian,
     jacobian,
     map_value,
@@ -90,8 +93,11 @@ __all__ = [
     "bloch_norm_log",
     "compose_with_analytic",
     "dbar_pre_schwarzian",
+    "dbar_pre_schwarzian_field",
     "dbar_schwarzian",
+    "dbar_schwarzian_field",
     "dilatation",
+    "dilatation_field",
     "epsilon_norm_gap_check",
     "eval_jet",
     "eval_value",

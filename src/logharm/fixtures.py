@@ -24,8 +24,10 @@ from .maps import (
     LogHarmonicMap,
     analytic_pre_schwarzian_field,
     dbar_pre_schwarzian,
-    dbar_schwarzian,
+    dbar_pre_schwarzian_field,
+    dbar_schwarzian_field,
     dilatation,
+    dilatation_field,
     hg_epsilon_field,
     jacobian,
     map_value,
@@ -35,8 +37,9 @@ from .maps import (
 from .norms import GridSpec, bloch_norm_log, pre_schwarzian_norm, schwarzian_norm, weighted_sup
 
 # deterministic interior sample set for "max over samples" metrics
-_SAMPLE_RADII = (0.15, 0.35, 0.55, 0.75)
-_SAMPLE_ANGLES = 24
+_SAMPLES = np.concatenate(
+    [r * np.exp(1j * np.arange(24) * (2 * math.pi / 24)) for r in (0.15, 0.35, 0.55, 0.75)]
+)
 
 
 @dataclass(frozen=True)
@@ -97,11 +100,6 @@ def load_fixture(name: str) -> Fixture:
     raise KeyError(f"unknown fixture {name!r}")
 
 
-def _samples() -> np.ndarray:
-    angles = np.arange(_SAMPLE_ANGLES) * (2 * math.pi / _SAMPLE_ANGLES)
-    return np.concatenate([r * np.exp(1j * angles) for r in _SAMPLE_RADII])
-
-
 def _omega(fx: Fixture) -> Expr:
     if fx.omega is None:
         raise ValueError(f"fixture {fx.name} declares no dilatation expression")
@@ -126,15 +124,15 @@ def _at(op):
     return lambda fx, arg, *_: op(fx.map, arg)
 
 
-def _max_over_samples(op):
-    return lambda fx, *_: max(abs(op(fx.map, complex(z))) for z in _samples())
+def _max_over_samples(make_field):
+    """max |field| over the samples; NaN when a sample is not evaluable."""
+    return lambda fx, *_: float(np.max(np.abs(make_field(fx.map)(_SAMPLES))))
 
 
 def _omega_deviation(fx: Fixture, *_) -> float:
-    omega = _omega(fx)
-    return max(
-        abs(dilatation(fx.map, complex(z)) - eval_value(omega, complex(z))) for z in _samples()
-    )
+    with np.errstate(all="ignore"):
+        want = eval_value(_omega(fx), _SAMPLES)
+    return float(np.max(np.abs(dilatation_field(fx.map)(_SAMPLES) - want)))
 
 
 # every catalog metric, keyed by its name in fixtures.json; an entry takes
@@ -157,8 +155,8 @@ _METRICS = {
     "map_value_at": _at(map_value),
     "jacobian_at": _at(jacobian),
     "dbar_pre_schwarzian_at": _at(dbar_pre_schwarzian),
-    "dbar_pre_schwarzian_max": _max_over_samples(dbar_pre_schwarzian),
-    "dbar_schwarzian_max": _max_over_samples(dbar_schwarzian),
+    "dbar_pre_schwarzian_max": _max_over_samples(dbar_pre_schwarzian_field),
+    "dbar_schwarzian_max": _max_over_samples(dbar_schwarzian_field),
     "starlike_verdict": lambda fx, arg, grid, _: starlike_check(fx.map, grid).verdict,
     "associated_starlike_verdict": lambda fx, arg, grid, _: associated_starlike(
         fx.map, grid

@@ -57,6 +57,11 @@ def _skips(x, y) -> bool:
     return type(y) is np.ndarray and x == 0
 
 
+def _scaled(k, x):
+    """k * x for a whole number k, with no pass over an array x when k == 1."""
+    return x if k == 1 else k * x
+
+
 def _log(a):
     """Principal log; see the module docstring for the array form."""
     if type(a) is not np.ndarray:
@@ -118,7 +123,7 @@ class Jet:
     def _deriv(self, k: int):
         if self.order < k:
             raise ValueError(f"jet of order {self.order} has no derivative {k}")
-        return self.coeffs[k] * _FACTORIAL[k]
+        return _scaled(_FACTORIAL[k], self.coeffs[k])
 
     @property
     def d0(self):
@@ -145,7 +150,8 @@ class Jet:
         """Jet of f' at the same basepoint, one order lower."""
         if self.order == 0:
             raise ValueError("cannot differentiate an order-0 jet")
-        return Jet(tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:])))
+        a = self.coeffs
+        return Jet(tuple(_scaled(k, a[k]) for k in range(1, len(a))))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -174,13 +180,14 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        n = min(self.order, o.order)
+        return Jet(tuple(a - b for a, b in zip(self.coeffs[: n + 1], o.coeffs[: n + 1])))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -235,7 +242,7 @@ class Jet:
             for j in range(1, k + 1):
                 if arrays and _skips(a[j], out[k - j]):
                     continue
-                term = j * a[j] * out[k - j]
+                term = _scaled(j, a[j]) * out[k - j]
                 acc = term if acc is None else acc + term
             out.append(0j if acc is None else acc / k)
         return Jet(out)
@@ -248,11 +255,11 @@ class Jet:
         arrays = type(a[0]) is np.ndarray
         out = [_log(a[0])]
         for k in range(1, self.order + 1):
-            acc = k * a[k]
+            acc = _scaled(k, a[k])
             for j in range(1, k):
                 if not (arrays and _skips(out[j], a[k - j])):
-                    acc = acc - j * out[j] * a[k - j]
-            out.append(acc / (k * a[0]))
+                    acc = acc - _scaled(j, out[j]) * a[k - j]
+            out.append(acc / _scaled(k, a[0]))
         return Jet(out)
 
     def _int_pow(self, n: int) -> "Jet":
@@ -302,10 +309,12 @@ def zpow_value(z, w):
 def zpow_jet(z, w, order: int = 2) -> Jet:
     """Jet of z -> z^w (principal branch) at z != 0, and at z = 0 too when w = 0.
 
-    Taylor coefficients are binomial: a_k = C(w, k) z^(w-k)."""
+    Taylor coefficients are binomial: a_k = C(w, k) z^(w-k).  An integer w
+    takes z^w by multiplication, with no log or exp."""
     if w == 0:
         return Jet.constant(1.0 + 0j, order)
-    v = np.exp(w * _log(z))
+    n = _as_exact_int(w)
+    v = z ** n if n is not None else np.exp(w * _log(z))
     coeffs = [v]
     binom = 1.0 + 0j
     for k in range(1, order + 1):

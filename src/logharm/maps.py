@@ -151,6 +151,11 @@ def _omega_jet(f: LogHarmonicMap, z, hj: Jet, gj: Jet) -> Jet:
     return num / den
 
 
+def _omega_from_factors(f: LogHarmonicMap, z, order: int) -> Jet:
+    """The dilatation jet, of order ``order - 1``, from h and g of order ``order``."""
+    return _omega_jet(f, z, eval_jet(f.h, z, order), eval_jet(f.g, z, order))
+
+
 def _raw_local(f: LogHarmonicMap, z, c: complex, order: int = 3):
     """(omega_jet, G_jet, H_jet) at z, with c = origin_exponent(f), as jets
     of order ``order - 1`` from h and g of order ``order``; works on scalars
@@ -204,6 +209,20 @@ def _schwarzian_kernel(w0, w1, w2, p_phi, s_phi):
     """S_f = S_phi - (3/2) sigma^2 + conj(w) (w' P_phi - w'') / (1 - |w|^2)."""
     denom = 1 - abs(w0) ** 2
     return s_phi - 1.5 * _sigma(w0, w1) ** 2 + (w0.conjugate() / denom) * (w1 * p_phi - w2)
+
+
+def _dbar_pre_kernel(w0, w1):
+    """d/dzbar P_f = -|w'|^2 / (1 - |w|^2)^2."""
+    return -abs(w1) ** 2 / (1 - abs(w0) ** 2) ** 2
+
+
+def _dbar_schwarzian_kernel(w0, w1, w2, p_phi):
+    """d/dzbar S_f = conj(w') ((w' P_phi - w'') / (1 - |w|^2)^2
+    - 3 w'^2 conj(w) / (1 - |w|^2)^3)."""
+    denom = 1 - abs(w0) ** 2
+    return w1.conjugate() * (
+        (w1 * p_phi - w2) / denom ** 2 - 3 * w1 ** 2 * w0.conjugate() / denom ** 3
+    )
 
 
 def _hg_kernel(eps, w0, w1, g0, g1, hp0, hp1):
@@ -261,8 +280,7 @@ def _sense_preserving_data(f: LogHarmonicMap, z: complex) -> LocalData:
 
 def dilatation(f: LogHarmonicMap, z: complex) -> complex:
     """omega(z); b/a at the origin when m >= 1."""
-    z = complex(z)
-    return complex(_omega_jet(f, z, eval_jet(f.h, z, order=1), eval_jet(f.g, z, order=1)).d0)
+    return complex(_omega_from_factors(f, complex(z), 1).d0)
 
 
 def jacobian(f: LogHarmonicMap, z: complex) -> float:
@@ -350,22 +368,19 @@ def dbar_pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
     every m (the other derivative operators only when c == 0).
     """
     z = complex(z)
-    om = _omega_jet(f, z, eval_jet(f.h, z, order=2), eval_jet(f.g, z, order=2))
+    om = _omega_from_factors(f, z, 2)
     w0, w1 = complex(om.d0), complex(om.d1)
     if not (np.isfinite(w0) and np.isfinite(w1)):
         raise PoleEncountered("non-finite dilatation jet", point=z)
-    denom = _sense_preserving(z, w0)
-    return complex(-abs(w1) ** 2 / denom ** 2)
+    _sense_preserving(z, w0)
+    return complex(_dbar_pre_kernel(w0, w1))
 
 
 def dbar_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
     """d/dzbar of S_f in closed form (vanishes iff omega is constant)."""
     data = _sense_preserving_data(f, z)
-    denom = 1 - abs(data.omega) ** 2
-    w1 = data.omega_d1
-    return w1.conjugate() * (
-        (w1 * data.phi_logderiv - data.omega_d2) / denom ** 2
-        - 3 * w1 ** 2 * data.omega.conjugate() / denom ** 3
+    return _dbar_schwarzian_kernel(
+        data.omega, data.omega_d1, data.omega_d2, data.phi_logderiv
     )
 
 
@@ -486,6 +501,39 @@ def schwarzian_field(f: LogHarmonicMap):
             omega.d0, omega.d1, omega.d2, _phi_logderiv(G, H), _phi_schwarzian(G, H)
         )
         return np.where(np.abs(omega.d0) < 1, s, np.nan)
+
+    return as_field(formula)
+
+
+def dilatation_field(f: LogHarmonicMap):
+    """Vectorized z -> omega(z), b/a at the origin; NaN only where the
+    dilatation itself is not finite."""
+
+    def formula(z):
+        return _omega_from_factors(f, z, 1).d0
+
+    return as_field(formula)
+
+
+def dbar_pre_schwarzian_field(f: LogHarmonicMap):
+    """Vectorized z -> d/dzbar P_f(z): regular at the origin for every m,
+    NaN where |omega| >= 1."""
+
+    def formula(z):
+        om = _omega_from_factors(f, z, 2)
+        return np.where(np.abs(om.d0) < 1, _dbar_pre_kernel(om.d0, om.d1), np.nan)
+
+    return as_field(formula)
+
+
+def dbar_schwarzian_field(f: LogHarmonicMap):
+    """Vectorized z -> d/dzbar S_f(z); non-evaluable points come back NaN."""
+    c = origin_exponent(f)
+
+    def formula(z):
+        omega, G, H = _array_local(f, z, c, 3)
+        v = _dbar_schwarzian_kernel(omega.d0, omega.d1, omega.d2, _phi_logderiv(G, H))
+        return np.where(np.abs(omega.d0) < 1, v, np.nan)
 
     return as_field(formula)
 

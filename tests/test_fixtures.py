@@ -97,3 +97,20 @@ def test_gap_row_is_difference_of_sibling_rows(name, gap, a, b, monkeypatch):
     computed = {r.metric: r.computed for r in run_fixture(name, grid=RUN_GRID).rows}
     assert computed[gap] == abs(computed[a] - computed[b])
     assert len(calls) == 1  # the gap reuses the norm row instead of recomputing it
+
+
+def test_a_sample_outside_the_sense_preserving_disk_gives_a_nan_row(monkeypatch):
+    # omega = g' h / (h' g) = 2z reaches |omega| = 1.1 on the sample ring r = 0.55
+    entry = {
+        "name": "omega-2z",
+        "description": "h = exp(z), g = exp(z^2)",
+        "m": 0,
+        "beta": [0, 0],
+        "h": "exp(z)",
+        "g": "exp(z^2)",
+        "checks": [{"metric": "dbar_pre_schwarzian_max", "expect": 0.0, "tol": 1e-10}],
+    }
+    monkeypatch.setattr(fixtures, "_catalog", lambda: [entry])
+    (row,) = run_fixture("omega-2z", grid=RUN_GRID).rows
+    assert math.isnan(row.computed)
+    assert not row.ok

@@ -11,6 +11,7 @@ from logharm.errors import PoleEncountered
 from logharm.expr import eval_jet
 from logharm.fixtures import fixture_names, load_fixture
 from logharm.jets import Jet, zpow_jet, zpow_value
+from logharm.maps import LogHarmonicMap, origin_exponent
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-6
@@ -144,6 +145,26 @@ def test_zpow_jet_zero_exponent_is_one_at_origin():
             assert np.all(c == (1 if k == 0 else 0))
 
 
+def test_zpow_jet_takes_integer_powers_by_multiplication():
+    # c = 4 on starlike-vanishing; its scalar/field parity is checked in test_maps
+    zs = np.array([0.4 + 0.3j, -0.2 + 0.5j, 0.7 + 0j, -0.9 - 0.1j])
+    for n in (4, 4.0, 4 + 0j):
+        assert zpow_jet(zs, n, order=2).coeffs[0].tobytes() == (zs ** 4).tobytes()
+        for z in zs:
+            assert zpow_jet(complex(z), n, order=2).coeffs[0] == complex(z) ** 4
+
+
+def test_zpow_jet_keeps_exp_log_for_a_non_integer_exponent():
+    # c of (m, beta) = (3, -1/3 + 1e-9) is 6e-9, not an integer
+    c = origin_exponent(LogHarmonicMap.from_strings(3, -1 / 3 + 1e-9, "1", "1"))
+    with np.errstate(all="ignore"):
+        got = zpow_jet(_BLOCK, c, order=2).coeffs
+        v = np.exp(c * jets._log(_BLOCK))
+        want = [v, c * (v / _BLOCK), (c * (c - 1) / 2) * (v / _BLOCK / _BLOCK)]
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_zpow_value_origin_rules():
     assert zpow_value(0j, 2) == 0
     assert zpow_value(0j, 0.5 + 1j) == 0
@@ -206,6 +227,51 @@ def test_skipping_structural_zeros_keeps_every_field(monkeypatch):
         assert np.array_equal(np.isnan(got), np.isnan(want)), label
         ok = ~np.isnan(want)
         assert np.array_equal(np.abs(got[ok]), np.abs(want[ok])), label
+
+
+def _same_bits_or_both_nan(got, want):
+    # a - b and a + (-b) may give NaNs of opposite sign; every other value
+    # is the same, signed zeros included
+    g, w = np.asarray(got).view(np.float64), np.asarray(want).view(np.float64)
+    nan = np.isnan(w)
+    return np.array_equal(np.isnan(g), nan) and g[~nan].tobytes() == w[~nan].tobytes()
+
+
+def test_subtraction_is_adding_the_negation():
+    special = (0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0)
+    vals = np.array([complex(x, y) for x in special for y in special])
+    a, b = np.repeat(vals, vals.size), np.tile(vals, vals.size)
+    ja, jb = Jet((a, b[::-1], a[::-1], b)), Jet((b, a, b[::-1], a[::-1]))
+    with np.errstate(all="ignore"):
+        pairs = [
+            (ja - jb, ja + (-jb)),
+            (ja - 2.5j, ja + (-Jet.constant(2.5j))),
+            (-0.0j - ja, Jet.constant(-0.0j) + (-ja)),
+            (ja - Jet.variable(-0.0j, 2), ja + (-Jet.variable(-0.0j, 2))),
+        ]
+    for diff, neg_sum in pairs:
+        assert diff.order == neg_sum.order
+        for got, want in zip(diff.coeffs, neg_sum.coeffs):
+            assert _same_bits_or_both_nan(got, want)
+
+
+# 97 levels clustered at the boundary, as the norms sweep them, out to
+# r = 1 - 1e-6, where exp(z/(1-z)) on gap-one overflows
+_GRID = (norms._radii(0.0, 1 - 1e-6, 97)[:, None]
+         * np.exp(2j * np.pi * np.arange(256) / 256)).ravel()
+
+
+def test_skipping_unit_factors_and_negations_keeps_every_field(monkeypatch):
+    # the reference multiplies by every k, 1 included, and subtracts by
+    # adding the negation
+    new = {label: field(_GRID) for label, field in _catalog_fields()}
+    monkeypatch.setattr(jets, "_scaled", lambda k, x: k * x)
+    monkeypatch.setattr(Jet, "__sub__", lambda self, other: self + (-self._coerce(other)))
+    for label, field in _catalog_fields():
+        want, got = field(_GRID), new[label]
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), label
+        assert got[~nan].tobytes() == want[~nan].tobytes(), label
 
 
 def test_scalar_products_keep_their_zero_tails():

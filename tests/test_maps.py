@@ -25,8 +25,11 @@ from logharm.maps import (
     analytic_schwarzian_field,
     compose_with_analytic,
     dbar_pre_schwarzian,
+    dbar_pre_schwarzian_field,
     dbar_schwarzian,
+    dbar_schwarzian_field,
     dilatation,
+    dilatation_field,
     hg_epsilon_field,
     hg_epsilon_pre_schwarzian,
     jacobian,
@@ -607,6 +610,10 @@ def _operator_pairs(f):
          analytic_pre_schwarzian_field(f.h)),
         ("analytic_schwarzian", lambda z: analytic_schwarzian(f.h, z),
          analytic_schwarzian_field(f.h)),
+        ("dilatation", lambda z: dilatation(f, z), dilatation_field(f)),
+        ("dbar_pre_schwarzian", lambda z: dbar_pre_schwarzian(f, z),
+         dbar_pre_schwarzian_field(f)),
+        ("dbar_schwarzian", lambda z: dbar_schwarzian(f, z), dbar_schwarzian_field(f)),
     ]
     if f.m == 0:
         for eps in (1, -1, 0.5 - 0.25j):
