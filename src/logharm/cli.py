@@ -2,9 +2,10 @@
 
 Exit codes: 0 for success or a passing verdict, 1 for a failing or
 inconclusive verdict, 2 for usage and evaluation errors.  Reports are
-JSON by default; complex numbers appear as [re, im] pairs and any
-non-finite number is emitted as the string "diverged".  Errors are
-written to stderr as a structured JSON object.
+JSON by default; complex numbers appear as [re, im] pairs, an infinite
+number is emitted as the string "diverged" and a NaN, which marks a
+value that could not be evaluated, as null.  Errors are written to
+stderr as a structured JSON object.
 """
 from __future__ import annotations
 
@@ -83,15 +84,19 @@ def parse_complex(text: str) -> complex:
 
 def _jsonable(v):
     """The JSON form of a report value: complex numbers become [re, im]
-    pairs and non-finite numbers the string "diverged"."""
+    pairs, infinite numbers the string "diverged" and NaN None."""
     if isinstance(v, np.generic):
         v = v.item()
     if v is None or isinstance(v, (bool, int, str)):
         return v
     if isinstance(v, float):
-        return v if math.isfinite(v) else "diverged"
+        if math.isfinite(v):
+            return v
+        return "diverged" if math.isinf(v) else None
     if isinstance(v, complex):
-        return [v.real, v.imag] if cmath.isfinite(v) else "diverged"
+        if cmath.isfinite(v):
+            return [v.real, v.imag]
+        return "diverged" if cmath.isinf(v) else None
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -112,7 +117,10 @@ def _add_map_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--radial-levels", type=int, default=40, dest="radial_levels")
+    p.add_argument(
+        "--radial-levels", type=int, default=40, dest="radial_levels",
+        help="radial grid levels (default 40; the library's GridSpec defaults to 200)",
+    )
     p.add_argument("--angular", type=int, default=512)
     p.add_argument("--r-max", type=float, default=1 - 1e-6, dest="r_max")
     p.add_argument("--refine", type=int, default=3)

@@ -32,7 +32,7 @@ _RAMP_LO = (40, 40, 160)
 _RAMP_HI = (255, 230, 40)
 _RAMP_BAD = (90, 90, 90)
 
-# CSV rows formatted per write; bounds the Python floats and strings alive at once
+# CSV rows formatted per write; bounds the bytes and fallback strings alive at once
 _CSV_BLOCK_ROWS = 1 << 14
 
 
@@ -87,16 +87,29 @@ def _weighted_field(target: Expr | LogHarmonicMap):
     return analytic_pre_schwarzian_field(target)
 
 
+def _csv_block(rows: np.ndarray) -> bytes:
+    """The CSV lines of finite float64 `rows`, each value in the digits of
+    its Python `repr`: the shortest string that round-trips."""
+    import orjson  # only the CSV writer pays its import
+
+    # orjson writes ryu's shortest digits, which repr also picks; the two
+    # differ only in the notation of values repr writes in scientific form
+    body = orjson.dumps(np.ascontiguousarray(rows), option=orjson.OPT_SERIALIZE_NUMPY)
+    lines = body[2:-2].split(b"],[")
+    mag = np.abs(rows)
+    scientific = (((mag < 1e-4) & (mag != 0)) | (mag >= 1e16)).any(axis=1)
+    for i in np.flatnonzero(scientific):
+        lines[i] = ",".join(map(repr, rows[i].tolist())).encode("ascii")
+    return b"\n".join(lines) + b"\n"
+
+
 def _write_csv(path: Path, z: np.ndarray, w: np.ndarray, ok: np.ndarray) -> None:
     cols = np.stack([z.real, z.imag, w.real, w.imag])[:, ok]
     try:
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write("z_re,z_im,w_re,w_im\n")
-            # repr of a Python float is the shortest string that round-trips
+        with path.open("wb") as fh:
+            fh.write(b"z_re,z_im,w_re,w_im\n")
             for first in range(0, cols.shape[1], _CSV_BLOCK_ROWS):
-                block = cols[:, first : first + _CSV_BLOCK_ROWS].tolist()
-                rows = map(",".join, zip(*(map(repr, col) for col in block)))
-                fh.write("\n".join(rows) + "\n")
+                fh.write(_csv_block(cols[:, first : first + _CSV_BLOCK_ROWS].T))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from None
 

@@ -224,6 +224,33 @@ def test_norm_divergence_is_flagged_not_fatal(capsys):
     assert isinstance(report["value"], float)
 
 
+def test_unevaluable_margin_is_null_not_diverged(capsys):
+    # the eps = 1 hypothesis fails, so the bound check has no margin: NaN
+    code, report, _ = run_json(
+        capsys, "check", "--name", "norm-bound",
+        "--h", "exp(z/(1-z))", "--g", "exp(-z/(1-z))/(1-z)", *GRID,
+    )
+    assert code == 1
+    assert report["verdict"] == "inconclusive"
+    assert report["worst_margin"] is None
+
+
+def test_infinite_value_is_diverged(capsys):
+    # exp(exp(90)) overflows
+    code, report, _ = run_json(
+        capsys, "eval", "--op", "map-value", "--h", "exp(exp(100*z))", "--g", "1", "--z", "0.9"
+    )
+    assert code == 0
+    assert report["value"] == "diverged"
+
+
+def test_jsonable_non_finite_forms():
+    nan, inf = float("nan"), float("inf")
+    assert _jsonable([nan, inf, -inf, complex(nan, 0), complex(inf, nan), complex(0, -inf)]) == [
+        None, "diverged", "diverged", None, "diverged", "diverged"
+    ]
+
+
 def test_check_schwarz_pick_passes(capsys):
     code, report, _ = run_json(capsys, "check", "--name", "schwarz-pick", "--omega", "z", *GRID)
     assert code == 0

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build
 from logharm import render
@@ -208,3 +210,54 @@ def test_ramp_top_and_bad_points():
             for lo, hi in zip(render._RAMP_LO, render._RAMP_HI)
         ]
         assert list(colors[i]) == list(want), i
+
+
+def _repr_csv(rows):
+    """The CSV lines of `rows` in Python float repr, one row per line."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()).encode("ascii")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_FINITE, _FINITE, _FINITE, _FINITE), min_size=1, max_size=30))
+def test_csv_block_matches_repr(rows):
+    rows = np.array(rows, dtype=np.float64)
+    assert render._csv_block(rows) == _repr_csv(rows)
+
+
+# where repr switches to and from scientific notation, and the extremes
+_NOTATION_EDGES = [
+    y
+    for x in (1e-4, 1e-5, 1e-10, 1e16)
+    for y in (np.nextafter(x, 0), x, np.nextafter(x, np.inf))
+] + [9.999999999999998e15, 5e-324, np.finfo(np.float64).max, 0.0, -0.0]
+
+
+def test_csv_block_matches_repr_at_notation_edges():
+    edges = np.array(_NOTATION_EDGES, dtype=np.float64)
+    ordinary = np.full_like(edges, 0.3)
+    rows = np.concatenate([
+        np.stack([edges, ordinary, -edges, ordinary], axis=1),
+        np.stack([ordinary, -edges, ordinary, edges], axis=1),
+        [[0.5, -0.25, 1.0, 2.0]],
+    ])
+    assert render._csv_block(rows) == _repr_csv(rows)
+
+
+@pytest.mark.parametrize("name", ["gap-one-sharp", "mobius-gap-a99"])
+def test_csv_file_matches_repr_oracle(name, tmp_path):
+    # near the boundary these maps have image coordinates repr writes in
+    # scientific notation, so many rows take the fallback
+    resolution, r_max = (64, 256), 1 - 1e-3
+    target = build(name)
+    path = tmp_path / "out.csv"
+    render_image(RenderJob(target, path, resolution=resolution, r_max=r_max))
+    z = mesh_points(resolution, r_max)
+    w = eval_target(target, z)
+    ok = np.isfinite(w)
+    rows = np.stack([z.real, z.imag, w.real, w.imag], axis=1)[ok]
+    want = _repr_csv(rows)
+    assert sum(b"e" in line for line in want.split(b"\n")) > 100
+    assert path.read_bytes() == b"z_re,z_im,w_re,w_im\n" + want
