@@ -36,16 +36,27 @@ Composition with an analytic disk automorphism-like psi uses the chain
 rule P_(f o psi) = (P_f o psi) psi' + psi''/psi' (the psi' factor is
 forced by J_(f o psi) = (J_f o psi) |psi'|^2; see the finite-difference
 tests).
+
+Each operator is one formula of z, evaluated two ways.  Its field
+(`pre_schwarzian_field`, ...) lifts the formula to whole arrays and
+leaves NaN where a value is not finite; its scalar operator
+(`pre_schwarzian`, ...) runs the same formula on one Python complex and
+raises exactly there, with a typed error (PoleEncountered,
+DegenerateDenominator, NotSensePreserving, CriticalPoint) that one cause
+table picks, in a fixed order, only after the value has failed.
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import (
     CriticalPoint,
     DegenerateDenominator,
+    EvaluationError,
     NotSensePreserving,
     PoleEncountered,
 )
@@ -96,59 +107,32 @@ class LogHarmonicMap:
         return (self.beta + 1) * self.m, self.beta.conjugate() * self.m
 
 
-@dataclass(frozen=True)
-class LocalData:
-    """Everything the derivative formulas need at one point.
-
-    ``G_jet``/``H_jet`` hold value, first, and second derivative of the
-    factorization factors (order-2 jets; a third derivative would need
-    h'''').  ``phi_logderiv`` is G'/G + H'/H, the pre-Schwarzian of the
-    analytic function whose derivative is H*G.
-    """
-
-    z: complex
-    omega: complex
-    omega_d1: complex
-    omega_d2: complex
-    G_jet: Jet
-    H_jet: Jet
-    phi_logderiv: complex
-
-
 def origin_exponent(f: LogHarmonicMap) -> complex:
     """c in G = z^c g: P_f = c/z + O(1), so f has finite norms iff c == 0."""
     a, b = f.exponents
     return a + b - 1 if f.m else 0j
 
 
-def _omega_jet(f: LogHarmonicMap, z, hj: Jet, gj: Jet) -> Jet:
-    """The dilatation (b + z g'/g) / (a + z h'/h), or g' h / (h' g) for m = 0,
-    as a jet one order below those of h and g.
-
-    It is regular at the origin even when c != 0.  On a scalar z it raises
-    DegenerateDenominator where the denominator vanishes, and PoleEncountered
-    at z where h or g does; on an array the division leaves NaN there.
-    """
+def _omega_parts(f: LogHarmonicMap, z, hj: Jet, gj: Jet) -> tuple[Jet, Jet]:
+    """Numerator and denominator of the dilatation: (b + z g'/g, a + z h'/h),
+    or (g' h, h' g) for m = 0, as jets one order below those of h and g."""
     gp, hp = gj.derivative(), hj.derivative()
     if f.m == 0:
-        num, den = gp * hj, hp * gj
-    else:
-        a, b = f.exponents
-        zj = Jet.variable(z, hp.order)
-        try:
-            den = a + zj * (hp / hj)
-            num = zj * (gp / gj) + b
-        except PoleEncountered as exc:
-            if exc.point is None and not isinstance(z, np.ndarray):
-                exc.point = z
-            raise
+        return gp * hj, hp * gj
+    a, b = f.exponents
+    zj = Jet.variable(z, hp.order)
+    return zj * (gp / gj) + b, a + zj * (hp / hj)
+
+
+def _omega_jet(f: LogHarmonicMap, z, hj: Jet, gj: Jet) -> Jet:
+    """The dilatation; it is regular at the origin even when c != 0.  At one
+    point its coefficients are Python complex, because numpy's complex
+    division rounds differently and the kernels divide by omega terms."""
+    num, den = _omega_parts(f, z, hj, gj)
+    om = num / den
     if not isinstance(z, np.ndarray):
-        d0 = complex(den.d0)
-        if f.m == 0 and d0 == 0:
-            raise DegenerateDenominator("h' g vanished", point=z)
-        if f.m >= 1 and abs(d0) < 1e-14:
-            raise DegenerateDenominator("(beta+1)m + z h'/h vanished", point=z)
-    return num / den
+        om = Jet(map(complex, om.coeffs))
+    return om
 
 
 def _omega_from_factors(f: LogHarmonicMap, z, order: int) -> Jet:
@@ -156,11 +140,20 @@ def _omega_from_factors(f: LogHarmonicMap, z, order: int) -> Jet:
     return _omega_jet(f, z, eval_jet(f.h, z, order), eval_jet(f.g, z, order))
 
 
+def _off_origin(z):
+    """z with the disk |z| < ORIGIN_RADIUS replaced by NaN."""
+    if isinstance(z, np.ndarray):
+        return np.where(np.abs(z) < ORIGIN_RADIUS, np.nan + 1j * np.nan, z)
+    return complex(np.nan, np.nan) if abs(z) < ORIGIN_RADIUS else z
+
+
 def _raw_local(f: LogHarmonicMap, z, c: complex, order: int = 3):
     """(omega_jet, G_jet, H_jet) at z, with c = origin_exponent(f), as jets
-    of order ``order - 1`` from h and g of order ``order``; works on scalars
-    and arrays alike.  Order 2 is all P_f reads, order 3 adds S_f's second
-    derivatives."""
+    of order ``order - 1`` from h and g of order ``order``.  Order 1 is all
+    J_f reads, order 2 all P_f reads, order 3 adds S_f's second derivatives.
+    Above order 1 they are derivative data, NaN near the origin when c != 0."""
+    if c != 0 and order > 1:
+        z = _off_origin(z)
     hj = eval_jet(f.h, z, order)
     gj = eval_jet(f.g, z, order)
     omega = _omega_jet(f, z, hj, gj)
@@ -173,9 +166,9 @@ def _raw_local(f: LogHarmonicMap, z, c: complex, order: int = 3):
 
 
 # -- closed forms ----------------------------------------------------------
-# Each formula is written once.  The scalar operators call it on Python
-# complex values, so they keep their exact arithmetic and typed raises; the
-# *_field closures call it on whole arrays.
+# The kernels below are shared by every operator.  Each operator's formula
+# `_<operator>(f, z)` is written once, further down: its field is
+# `as_field(partial(formula, f))` and its scalar operator `_at(formula, f, z)`.
 
 
 def _phi_logderiv(G: Jet, H: Jet):
@@ -239,63 +232,124 @@ def _analytic_schwarzian_kernel(d1, d2, d3):
     return d3 / d1 - 1.5 * _analytic_pre_kernel(d1, d2) ** 2
 
 
-def local_data(f: LogHarmonicMap, z: complex) -> LocalData:
-    """Validated scalar bundle; raises on poles and degenerate denominators."""
+# -- one point and whole arrays -------------------------------------------
+
+# a formula fails by raising one of these: a division by a scalar zero, an
+# overflow in Python complex or float arithmetic (abs, **), or a jet's pole
+_FAILURES = (ZeroDivisionError, OverflowError, PoleEncountered)
+
+
+def as_field(formula, real: bool = False):
+    """Lift an array formula to a field: the one place that decides shape,
+    warnings and NaN.
+
+    The field takes any complex array z and returns formula(z) with the shape
+    of z, without numpy warnings, and NaN wherever a value is not finite:
+    nan+nanj for complex fields, nan for real margins (``real=True``).  Jet
+    coefficients that do not depend on z stay scalars inside the formula and
+    are broadcast here.  A raise from ``_FAILURES`` can only come from such a
+    scalar coefficient, so it makes the whole field NaN.
+    """
+    dtype, nan = (float, np.nan) if real else (complex, np.nan + 1j * np.nan)
+
+    def field(z):
+        z = np.asarray(z, dtype=complex)
+        with np.errstate(all="ignore"):
+            try:
+                v = np.asarray(formula(z), dtype=dtype)
+            except _FAILURES:
+                v = np.asarray(nan)
+            if v.shape != z.shape:
+                v = np.broadcast_to(v, z.shape)
+            return np.where(np.isfinite(v), v, nan)
+
+    return field
+
+
+def _cause(
+    f: LogHarmonicMap, z: complex, origin: bool = False, sense: bool = False, eps=None
+) -> EvaluationError:
+    """Why an operator of f failed at z: the first of these that holds.
+
+    - ``origin`` (derivative operators): |z| < ORIGIN_RADIUS while c != 0;
+    - a pole of h or g at z, or a zero of either when m >= 1;
+    - a vanishing dilatation denominator;
+    - ``sense``: |omega| >= 1;
+    - ``eps`` (the h g^eps member): 1 + eps*omega = 0;
+    - otherwise a pole at z, such as an overflow.
+    """
+    if origin and origin_exponent(f) != 0 and abs(z) < ORIGIN_RADIUS:
+        return PoleEncountered("derivative data needs |z| >= 1e-8 when c != 0", point=z)
+    try:
+        num, den = _omega_parts(f, z, eval_jet(f.h, z, 1), eval_jet(f.g, z, 1))
+    except PoleEncountered as exc:
+        return exc if exc.point is not None else PoleEncountered(str(exc), point=z)
+    if den.d0 == 0:
+        what = "h' g" if f.m == 0 else "(beta+1)m + z h'/h"
+        return DegenerateDenominator(f"{what} vanished", point=z)
+    w0 = num.d0 / den.d0
+    if sense and np.abs(w0) >= 1:
+        return NotSensePreserving(point=z, modulus=float(np.abs(w0)))
+    if eps is not None and 1 + eps * w0 == 0:
+        return DegenerateDenominator("1 + eps*omega vanished", point=z)
+    return PoleEncountered("non-finite value", point=z)
+
+
+def _expr_cause(e: Expr, z: complex) -> EvaluationError:
+    """Why an operator of the analytic expression e failed at z: a pole of e,
+    else a critical point (e'(z) = 0), else a pole at z."""
+    try:
+        d1 = eval_jet(e, z, 1).d1
+    except PoleEncountered as exc:
+        return exc
+    if d1 == 0:
+        return CriticalPoint("derivative vanishes", point=z)
+    return PoleEncountered("non-finite value", point=z)
+
+
+def _at(formula, target, z: complex, cause=_cause, **flags):
+    """formula(target, z) at one Python complex z, by as_field's rule: a
+    value that is not finite, or a raise from ``_FAILURES``, fails, and
+    only then is ``cause(target, z, **flags)`` consulted for the typed
+    error to raise."""
     z = complex(z)
-    c = origin_exponent(f)
-    if c != 0 and abs(z) < ORIGIN_RADIUS:
-        raise PoleEncountered("derivative data needs |z| >= 1e-8 when c != 0", point=z)
-    omega, G, H = _raw_local(f, z, c)
-    data = LocalData(
-        z=z,
-        omega=complex(omega.d0),
-        omega_d1=complex(omega.d1),
-        omega_d2=complex(omega.d2),
-        G_jet=G,
-        H_jet=H,
-        phi_logderiv=complex(_phi_logderiv(G, H)),
-    )
-    for v in (data.omega, data.omega_d1, data.omega_d2, data.phi_logderiv):
-        if not np.isfinite(v):
-            raise PoleEncountered("non-finite local data", point=z)
-    return data
+    with np.errstate(all="ignore"):
+        try:
+            v = formula(target, z)
+            if all(map(cmath.isfinite, v if isinstance(v, tuple) else (v,))):
+                return v
+        except _FAILURES:
+            pass
+        raise cause(target, z, **flags)
 
 
-def _sense_preserving(z: complex, w0: complex) -> float:
-    """1 - |w0|^2; raises NotSensePreserving when |w0| >= 1."""
-    mod = abs(w0)
-    if mod >= 1:
-        raise NotSensePreserving(point=z, modulus=mod)
-    return 1 - mod ** 2
+# -- the operators: formula, scalar operator, field -----------------------
 
 
-def _sense_preserving_data(f: LogHarmonicMap, z: complex) -> LocalData:
-    data = local_data(f, z)
-    _sense_preserving(data.z, data.omega)
-    return data
-
-
-# -- pointwise operators --------------------------------------------------
+def _dilatation(f: LogHarmonicMap, z):
+    return _omega_from_factors(f, z, 1).d0
 
 
 def dilatation(f: LogHarmonicMap, z: complex) -> complex:
     """omega(z); b/a at the origin when m >= 1."""
-    return complex(_omega_from_factors(f, complex(z), 1).d0)
+    return complex(_at(_dilatation, f, z))
+
+
+def dilatation_field(f: LogHarmonicMap):
+    """Vectorized z -> omega(z), b/a at the origin; NaN only where the
+    dilatation itself is not finite."""
+    return as_field(partial(_dilatation, f))
+
+
+def _jacobian(f: LogHarmonicMap, z):
+    omega, G, H = _raw_local(f, z, origin_exponent(f), 1)
+    return abs(H.d0 * G.d0) ** 2 * (1 - abs(omega.d0) ** 2)
 
 
 def jacobian(f: LogHarmonicMap, z: complex) -> float:
-    """|f_z|^2 - |f_zbar|^2 in closed form; positive iff sense-preserving
-    and locally univalent at z."""
-    z = complex(z)
-    c = origin_exponent(f)
-    if c != 0 and z == 0:
-        G0 = zpow_value(0j, c) * complex(eval_jet(f.g, 0j, order=0).d0)
-        H0 = f.exponents[0] * complex(eval_jet(f.h, 0j, order=0).d0)
-        om = dilatation(f, 0j)
-        return float(abs(H0 * G0) ** 2 * (1 - abs(om) ** 2))
-    omega, G, H = _raw_local(f, z, c)
-    w0 = complex(omega.d0)
-    return float(abs(complex(H.d0) * complex(G.d0)) ** 2 * (1 - abs(w0) ** 2))
+    """|f_z|^2 - |f_zbar|^2 = |H G|^2 (1 - |omega|^2); positive iff
+    sense-preserving and locally univalent at z."""
+    return float(_at(_jacobian, f, z))
 
 
 def map_value(f: LogHarmonicMap, z):
@@ -342,23 +396,54 @@ def wirtinger(f: LogHarmonicMap, z: complex) -> tuple[complex, complex, complex]
     return f_z, f_zbar, f_val
 
 
+def _pre(f: LogHarmonicMap, z):
+    omega, G, H = _raw_local(f, z, origin_exponent(f), 2)
+    p = _pre_kernel(omega.d0, omega.d1, _phi_logderiv(G, H))
+    return np.where(np.abs(omega.d0) < 1, p, np.nan)
+
+
 def pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
     """P_f = d/dz log J_f, via the closed form G'/G + H'/H - conj(w)w'/(1-|w|^2)."""
-    data = _sense_preserving_data(f, z)
-    return _pre_kernel(data.omega, data.omega_d1, data.phi_logderiv)
+    return complex(_at(_pre, f, z, origin=True, sense=True))
+
+
+def pre_schwarzian_field(f: LogHarmonicMap):
+    """Vectorized z -> P_f(z); non-evaluable points come back NaN."""
+    return as_field(partial(_pre, f))
+
+
+def _phi(f: LogHarmonicMap, z):
+    _, G, H = _raw_local(f, z, origin_exponent(f), 3)
+    return _phi_logderiv(G, H), _phi_schwarzian(G, H)
 
 
 def phi_family(f: LogHarmonicMap, z: complex) -> tuple[complex, complex]:
     """(P, S) of the analytic function with derivative H*G (never integrated)."""
-    data = local_data(f, z)
-    return data.phi_logderiv, complex(_phi_schwarzian(data.G_jet, data.H_jet))
+    p, s = _at(_phi, f, z, origin=True)
+    return complex(p), complex(s)
+
+
+def _schwarzian(f: LogHarmonicMap, z):
+    omega, G, H = _raw_local(f, z, origin_exponent(f), 3)
+    s = _schwarzian_kernel(
+        omega.d0, omega.d1, omega.d2, _phi_logderiv(G, H), _phi_schwarzian(G, H)
+    )
+    return np.where(np.abs(omega.d0) < 1, s, np.nan)
 
 
 def schwarzian(f: LogHarmonicMap, z: complex) -> complex:
     """S_f = dP_f/dz - P_f^2 / 2, in closed form."""
-    data = _sense_preserving_data(f, z)
-    s_phi = complex(_phi_schwarzian(data.G_jet, data.H_jet))
-    return _schwarzian_kernel(data.omega, data.omega_d1, data.omega_d2, data.phi_logderiv, s_phi)
+    return complex(_at(_schwarzian, f, z, origin=True, sense=True))
+
+
+def schwarzian_field(f: LogHarmonicMap):
+    """Vectorized z -> S_f(z); non-evaluable points come back NaN."""
+    return as_field(partial(_schwarzian, f))
+
+
+def _dbar_pre(f: LogHarmonicMap, z):
+    om = _omega_from_factors(f, z, 2)
+    return np.where(np.abs(om.d0) < 1, _dbar_pre_kernel(om.d0, om.d1), np.nan)
 
 
 def dbar_pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
@@ -367,45 +452,65 @@ def dbar_pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
     Needs only the dilatation jet, so it is evaluable at the origin for
     every m (the other derivative operators only when c == 0).
     """
-    z = complex(z)
-    om = _omega_from_factors(f, z, 2)
-    w0, w1 = complex(om.d0), complex(om.d1)
-    if not (np.isfinite(w0) and np.isfinite(w1)):
-        raise PoleEncountered("non-finite dilatation jet", point=z)
-    _sense_preserving(z, w0)
-    return complex(_dbar_pre_kernel(w0, w1))
+    return complex(_at(_dbar_pre, f, z, sense=True))
+
+
+def dbar_pre_schwarzian_field(f: LogHarmonicMap):
+    """Vectorized z -> d/dzbar P_f(z): regular at the origin for every m,
+    NaN where |omega| >= 1."""
+    return as_field(partial(_dbar_pre, f))
+
+
+def _dbar_schwarzian(f: LogHarmonicMap, z):
+    omega, G, H = _raw_local(f, z, origin_exponent(f), 3)
+    v = _dbar_schwarzian_kernel(omega.d0, omega.d1, omega.d2, _phi_logderiv(G, H))
+    return np.where(np.abs(omega.d0) < 1, v, np.nan)
 
 
 def dbar_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
     """d/dzbar of S_f in closed form (vanishes iff omega is constant)."""
-    data = _sense_preserving_data(f, z)
-    return _dbar_schwarzian_kernel(
-        data.omega, data.omega_d1, data.omega_d2, data.phi_logderiv
-    )
+    return complex(_at(_dbar_schwarzian, f, z, origin=True, sense=True))
+
+
+def dbar_schwarzian_field(f: LogHarmonicMap):
+    """Vectorized z -> d/dzbar S_f(z); non-evaluable points come back NaN."""
+    return as_field(partial(_dbar_schwarzian, f))
 
 
 # -- analytic specializations --------------------------------------------
 
 
-def _analytic_jet(e: Expr, z: complex, order: int) -> tuple[complex, Jet]:
-    """(e'(z), jet of e at z); raises where e' vanishes."""
-    j = eval_jet(e, complex(z), order=order)
-    d1 = complex(j.d1)
-    if d1 == 0:
-        raise CriticalPoint("derivative vanishes", point=complex(z))
-    return d1, j
+def _analytic_pre(e: Expr, z):
+    j = eval_jet(e, z, order=2)
+    return _analytic_pre_kernel(j.d1, j.d2)
 
 
 def analytic_pre_schwarzian(e: Expr, z: complex) -> complex:
     """e''/e' for an analytic expression."""
-    d1, j = _analytic_jet(e, z, 2)
-    return _analytic_pre_kernel(d1, complex(j.d2))
+    return complex(_at(_analytic_pre, e, z, _expr_cause))
+
+
+def analytic_pre_schwarzian_field(e: Expr):
+    return as_field(partial(_analytic_pre, e))
+
+
+def _analytic_schwarzian(e: Expr, z):
+    j = eval_jet(e, z, order=3)
+    return _analytic_schwarzian_kernel(j.d1, j.d2, j.d3)
 
 
 def analytic_schwarzian(e: Expr, z: complex) -> complex:
     """e'''/e' - (3/2)(e''/e')^2 for an analytic expression."""
-    d1, j = _analytic_jet(e, z, 3)
-    return _analytic_schwarzian_kernel(d1, complex(j.d2), complex(j.d3))
+    return complex(_at(_analytic_schwarzian, e, z, _expr_cause))
+
+
+def analytic_schwarzian_field(e: Expr):
+    return as_field(partial(_analytic_schwarzian, e))
+
+
+def _hg(f: LogHarmonicMap, z, eps: complex):
+    omega, G, H = _raw_local(f, z, 0j, 2)  # m = 0, so c = 0
+    return _hg_kernel(eps, omega.d0, omega.d1, G.d0, G.d1, H.d0, H.d1)
 
 
 def hg_epsilon_pre_schwarzian(f: LogHarmonicMap, eps: complex, z: complex) -> complex:
@@ -417,13 +522,14 @@ def hg_epsilon_pre_schwarzian(f: LogHarmonicMap, eps: complex, z: complex) -> co
     if f.m != 0:
         raise ValueError("the h g^eps family is defined for m = 0 mappings")
     eps = complex(eps)
-    data = local_data(f, z)
-    w0, w1 = data.omega, data.omega_d1
-    if abs(1 + eps * w0) < 1e-14:
-        raise DegenerateDenominator("1 + eps*omega vanished", point=data.z)
-    G, H = data.G_jet, data.H_jet
-    g0, g1, hp0, hp1 = (complex(c) for c in (G.d0, G.d1, H.d0, H.d1))
-    return _hg_kernel(eps, w0, w1, g0, g1, hp0, hp1)
+    return complex(_at(partial(_hg, eps=eps), f, z, eps=eps))
+
+
+def hg_epsilon_field(f: LogHarmonicMap, eps: complex):
+    """Vectorized pre-Schwarzian of h * g^eps (m = 0)."""
+    if f.m != 0:
+        raise ValueError("the h g^eps family is defined for m = 0 mappings")
+    return as_field(partial(_hg, f, eps=complex(eps)))
 
 
 def compose_with_analytic(f: LogHarmonicMap, psi: Expr, z: complex) -> complex:
@@ -431,137 +537,9 @@ def compose_with_analytic(f: LogHarmonicMap, psi: Expr, z: complex) -> complex:
     if f.m != 0:
         raise ValueError("composition is supported for m = 0 mappings")
     z = complex(z)
-    pj = eval_jet(psi, z, order=2)
-    p1 = complex(pj.d1)
-    if p1 == 0:
-        raise CriticalPoint("psi' vanishes", point=z)
+    psi_pre = analytic_pre_schwarzian(psi, z)  # CriticalPoint where psi' vanishes
+    pj = eval_jet(psi, z, order=1)
     w = complex(pj.d0)
     if abs(w) >= 1:
         raise ValueError(f"psi(z) = {w} leaves the unit disk")
-    return pre_schwarzian(f, w) * p1 + _analytic_pre_kernel(p1, complex(pj.d2))
-
-
-# -- array-path field evaluators (grid sweeps) ---------------------------
-
-
-def as_field(formula, real: bool = False):
-    """Lift an array formula to a field: the one place that decides shape,
-    warnings and NaN.
-
-    The field takes any complex array z and returns formula(z) with the shape
-    of z, without numpy warnings, and NaN wherever a value is not finite:
-    nan+nanj for complex fields, nan for real margins (``real=True``).  Jet
-    coefficients that do not depend on z stay scalars inside the formula and
-    are broadcast here.  A ZeroDivisionError, or a PoleEncountered from a jet
-    dividing by or taking the log of a zero, can only come from such a scalar
-    coefficient, so it makes the whole field NaN.
-    """
-    dtype, nan = (float, np.nan) if real else (complex, np.nan + 1j * np.nan)
-
-    def field(z):
-        z = np.asarray(z, dtype=complex)
-        with np.errstate(all="ignore"):
-            try:
-                v = np.asarray(formula(z), dtype=dtype)
-            except (ZeroDivisionError, PoleEncountered):
-                v = np.asarray(nan)
-            if v.shape != z.shape:
-                v = np.broadcast_to(v, z.shape)
-            return np.where(np.isfinite(v), v, nan)
-
-    return field
-
-
-def _array_local(f: LogHarmonicMap, z: np.ndarray, c: complex, order: int):
-    """`_raw_local` on an array, with the origin masked out when c != 0."""
-    if c != 0:
-        z = np.where(np.abs(z) < ORIGIN_RADIUS, np.nan + 1j * np.nan, z)
-    return _raw_local(f, z, c, order)
-
-
-def pre_schwarzian_field(f: LogHarmonicMap):
-    """Vectorized z -> P_f(z); non-evaluable points come back NaN."""
-    c = origin_exponent(f)
-
-    def formula(z):
-        omega, G, H = _array_local(f, z, c, 2)
-        p = _pre_kernel(omega.d0, omega.d1, _phi_logderiv(G, H))
-        return np.where(np.abs(omega.d0) < 1, p, np.nan)
-
-    return as_field(formula)
-
-
-def schwarzian_field(f: LogHarmonicMap):
-    """Vectorized z -> S_f(z); non-evaluable points come back NaN."""
-    c = origin_exponent(f)
-
-    def formula(z):
-        omega, G, H = _array_local(f, z, c, 3)
-        s = _schwarzian_kernel(
-            omega.d0, omega.d1, omega.d2, _phi_logderiv(G, H), _phi_schwarzian(G, H)
-        )
-        return np.where(np.abs(omega.d0) < 1, s, np.nan)
-
-    return as_field(formula)
-
-
-def dilatation_field(f: LogHarmonicMap):
-    """Vectorized z -> omega(z), b/a at the origin; NaN only where the
-    dilatation itself is not finite."""
-
-    def formula(z):
-        return _omega_from_factors(f, z, 1).d0
-
-    return as_field(formula)
-
-
-def dbar_pre_schwarzian_field(f: LogHarmonicMap):
-    """Vectorized z -> d/dzbar P_f(z): regular at the origin for every m,
-    NaN where |omega| >= 1."""
-
-    def formula(z):
-        om = _omega_from_factors(f, z, 2)
-        return np.where(np.abs(om.d0) < 1, _dbar_pre_kernel(om.d0, om.d1), np.nan)
-
-    return as_field(formula)
-
-
-def dbar_schwarzian_field(f: LogHarmonicMap):
-    """Vectorized z -> d/dzbar S_f(z); non-evaluable points come back NaN."""
-    c = origin_exponent(f)
-
-    def formula(z):
-        omega, G, H = _array_local(f, z, c, 3)
-        v = _dbar_schwarzian_kernel(omega.d0, omega.d1, omega.d2, _phi_logderiv(G, H))
-        return np.where(np.abs(omega.d0) < 1, v, np.nan)
-
-    return as_field(formula)
-
-
-def analytic_pre_schwarzian_field(e: Expr):
-    def formula(z):
-        j = eval_jet(e, z, order=2)
-        return _analytic_pre_kernel(j.d1, j.d2)
-
-    return as_field(formula)
-
-
-def analytic_schwarzian_field(e: Expr):
-    def formula(z):
-        j = eval_jet(e, z, order=3)
-        return _analytic_schwarzian_kernel(j.d1, j.d2, j.d3)
-
-    return as_field(formula)
-
-
-def hg_epsilon_field(f: LogHarmonicMap, eps: complex):
-    """Vectorized pre-Schwarzian of h * g^eps (m = 0)."""
-    if f.m != 0:
-        raise ValueError("the h g^eps family is defined for m = 0 mappings")
-    eps = complex(eps)
-
-    def formula(z):
-        omega, G, H = _raw_local(f, z, 0j, 2)  # m = 0, so c = 0
-        return _hg_kernel(eps, omega.d0, omega.d1, G.d0, G.d1, H.d0, H.d1)
-
-    return as_field(formula)
+    return pre_schwarzian(f, w) * complex(pj.d1) + psi_pre

@@ -172,7 +172,7 @@ def test_eval_vanishing_factor_error_carries_the_point(capsys, op):
 
 def test_eval_overflow_near_boundary_is_one_json_error(capsys):
     # exp(z/(1-z)) overflows at 0.999; stderr carries the typed error only
-    for op in ("preschwarzian", "hg-eps-preschwarzian"):
+    for op in ("preschwarzian", "hg-eps-preschwarzian", "dilatation", "jacobian"):
         code, out, err = run(
             capsys, "eval", *GAP_ONE, "--op", op, "--eps", "0.5,0.5", "--z", "0.999"
         )

@@ -135,7 +135,8 @@ def test_dilatation_degenerate_denominator():
         dilatation(f, 0.5)
 
 
-@pytest.mark.parametrize("op", [dilatation, jacobian, dbar_pre_schwarzian, pre_schwarzian])
+@pytest.mark.parametrize("op", [dilatation, jacobian, dbar_pre_schwarzian, pre_schwarzian,
+                                schwarzian, dbar_schwarzian, phi_family])
 def test_every_scalar_operator_reports_a_vanishing_dilatation_denominator(op):
     # a + z h'/h = 1 - 2z vanishes at 1/2; h' g vanishes everywhere for h = g = 1
     for f, z, message in (
@@ -147,7 +148,8 @@ def test_every_scalar_operator_reports_a_vanishing_dilatation_denominator(op):
         assert err.value.point == z
 
 
-@pytest.mark.parametrize("op", [dilatation, pre_schwarzian, schwarzian, phi_family])
+@pytest.mark.parametrize("op", [dilatation, pre_schwarzian, schwarzian, phi_family,
+                                dbar_pre_schwarzian, dbar_schwarzian, jacobian])
 def test_a_vanishing_factor_is_a_pole_at_the_point(op):
     # m >= 1 divides by h and g inside the dilatation; each vanishes at 1/2
     for h, g in (("1-2*z", "1"), ("1", "1-2*z")):
@@ -396,9 +398,10 @@ def test_pre_schwarzian_origin_policy(starlike_vanishing):
 def test_not_sense_preserving_raises():
     f = LogHarmonicMap.from_strings(0, 0, "exp(z)", "exp(z^2)")  # omega = 2z
     assert dilatation(f, 0.3) == pytest.approx(0.6)
-    with pytest.raises(NotSensePreserving) as exc:
-        pre_schwarzian(f, 0.6)
-    assert exc.value.modulus == pytest.approx(1.2)
+    for op in (pre_schwarzian, schwarzian, dbar_schwarzian):
+        with pytest.raises(NotSensePreserving) as exc:
+            op(f, 0.6)
+        assert exc.value.modulus == pytest.approx(1.2)
     pre_schwarzian(f, 0.45)
 
 
@@ -683,6 +686,7 @@ def test_fields_are_nan_exactly_where_scalars_raise():
     bad_points.append((omega_2z, 0.6 + 0j))  # |omega| = 1.2
     # h' = 0 does not depend on z: the jets divide by a scalar zero
     bad_points.append((LogHarmonicMap.from_strings(0, 0, "1", "1"), 0.3 + 0.1j))
+    bad_points.append((build("gap-one-sharp"), 0.999 + 0j))  # exp(z/(1-z)) overflows
     for f, bad in bad_points:
         assert _raises(lambda z: pre_schwarzian(f, z), bad)
         assert _raises(lambda z: schwarzian(f, z), bad)
