@@ -1,29 +1,24 @@
 #!/usr/bin/env python3
 """Print the sharp-constant scoreboard: estimated norms vs closed-form targets.
 
-The maps and their targets come from the fixture catalog (fixtures.json);
-each row is one norm row of `run_fixture` on the requested grid, with its
-`ok` against the catalog tolerance.  Exits 1 when any row is not ok.
+The maps and their targets come from the fixture catalog (fixtures.json):
+each row is a `run_fixture` row whose metric is a norm, on the requested
+grid, with its `ok` against the catalog tolerance.  Exits 1 when any row is
+not ok.
 """
 import argparse
 import sys
 import time
 
-from logharm import GridSpec, run_fixture
+from logharm import GridSpec, fixture_names, load_fixture, run_fixture
 
-# (fixture, norm metric, scoreboard label), in print order
-SCOREBOARD = (
-    ("gap-one-sharp", "pre_schwarzian_norm", "gap-one  |P_f|"),
-    ("gap-one-sharp", "product_pre_schwarzian_norm", "gap-one  |P_hg|"),
-    ("gap-five-sharp", "pre_schwarzian_norm", "gap-five |P_f|"),
-    ("gap-five-sharp", "member_pre_schwarzian_norm", "gap-five member"),
-    ("gap-five-sharp", "bloch_log_g", "gap-five Bloch(log g)"),
-    ("mobius-gap-a60", "pre_schwarzian_norm", "mobius-a60 |P_f|"),
-    ("mobius-gap-a90", "pre_schwarzian_norm", "mobius-a90 |P_f|"),
-    ("mobius-gap-a99", "pre_schwarzian_norm", "mobius-a99 |P_f|"),
-    ("koebe", "pre_schwarzian_norm", "koebe |P|"),
-    ("koebe", "schwarzian_norm", "koebe |S|"),
-)
+NORM_METRICS = frozenset({
+    "pre_schwarzian_norm",
+    "product_pre_schwarzian_norm",
+    "member_pre_schwarzian_norm",
+    "bloch_log_g",
+    "schwarzian_norm",
+})
 
 
 def main() -> int:
@@ -39,13 +34,13 @@ def main() -> int:
     )
 
     t0 = time.perf_counter()
-    results = {}
     rows = []
-    for fixture, metric, label in SCOREBOARD:
-        if fixture not in results:
-            results[fixture] = {r.metric: r for r in run_fixture(fixture, grid).rows}
-        row = results[fixture][metric]
-        rows.append((label, row.computed, row.expected, row.ok))
+    for name in fixture_names():
+        if NORM_METRICS.isdisjoint(c["metric"] for c in load_fixture(name).checks):
+            continue
+        for row in run_fixture(name, grid).rows:
+            if row.metric in NORM_METRICS:
+                rows.append((f"{name} {row.metric}", row.computed, row.expected, row.ok))
     elapsed = time.perf_counter() - t0
 
     width = max(len(r[0]) for r in rows)

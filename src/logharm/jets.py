@@ -289,30 +289,28 @@ class Jet:
         return f"Jet({', '.join(repr(c) for c in self.coeffs)})"
 
 
-def zpow_value(z, w):
-    """z^w with the z = 0 limit rules: 0 for Re w > 0, 1 for w = 0, pole otherwise.
-
-    Scalar z only; the array path goes through exp(w log z) and masks."""
-    wc = complex(w)
-    if complex(z) == 0:
-        if wc == 0:
-            return 1.0 + 0j
-        if wc.real > 0:
-            return 0j
-        raise PoleEncountered("z^w at origin with Re(w) <= 0", point=0j)
-    n = _as_exact_int(w)
-    if n is not None:
-        return complex(z) ** n
-    return np.exp(wc * np.log(z))
+def _origin_coeff(w, k: int):
+    """The z -> 0 limit of the coefficient C(w, k) z^(w-k): 1 when w == k,
+    0 when Re(w - k) > 0 or C(w, k) == 0 (w a whole number below k), and a
+    pole otherwise."""
+    if w == k:
+        return 1.0 + 0j
+    if (w - k).real > 0 or _as_exact_int(w) in range(k):
+        return 0j
+    raise PoleEncountered(f"z^w at origin with Re(w) <= {k}", point=0j)
 
 
 def zpow_jet(z, w, order: int = 2) -> Jet:
-    """Jet of z -> z^w (principal branch) at z != 0, and at z = 0 too when w = 0.
+    """Jet of z -> z^w (principal branch).
 
     Taylor coefficients are binomial: a_k = C(w, k) z^(w-k).  An integer w
-    takes z^w by multiplication, with no log or exp."""
+    takes z^w by multiplication, with no log or exp.  w = 0 gives the
+    constant 1 everywhere; any other w takes each coefficient's limit at a
+    scalar z = 0 (`_origin_coeff`), while an array z = 0 is left to mask."""
     if w == 0:
         return Jet.constant(1.0 + 0j, order)
+    if not isinstance(z, np.ndarray) and z == 0:
+        return Jet(_origin_coeff(w, k) for k in range(order + 1))
     n = _as_exact_int(w)
     v = z ** n if n is not None else np.exp(w * _log(z))
     coeffs = [v]

@@ -43,7 +43,11 @@ leaves NaN where a value is not finite; its scalar operator
 (`pre_schwarzian`, ...) runs the same formula on one Python complex and
 raises exactly there, with a typed error (PoleEncountered,
 DegenerateDenominator, NotSensePreserving, CriticalPoint) that one cause
-table picks, in a fixed order, only after the value has failed.
+table picks, in a fixed order, only after the value has failed.  The map
+itself is f = A conj(B) with A = z^a h and B = z^b g (`_value`):
+`map_value` is A conj(B) for scalars and arrays alike, left inf or NaN
+where it overflows, and `wirtinger` is the scalar operator of
+(A' conj(B), A conj(B'), A conj(B)).
 """
 from __future__ import annotations
 
@@ -61,7 +65,7 @@ from .errors import (
     PoleEncountered,
 )
 from .expr import Expr, eval_jet, parse
-from .jets import Jet, zpow_jet, zpow_value
+from .jets import Jet, zpow_jet
 
 ORIGIN_RADIUS = 1e-8  # derivative ops stay outside this disk when c != 0
 
@@ -82,8 +86,10 @@ class LogHarmonicMap:
         object.__setattr__(self, "beta", beta)
         if beta.real <= -0.5:
             raise ValueError(f"Re(beta) must exceed -1/2, got {beta}")
-        h0 = complex(eval_jet(self.h, 0j, order=1).d0)
-        g0 = complex(eval_jet(self.g, 0j, order=1).d0)
+        with np.errstate(all="ignore"):  # an overflow reads inf, not a warning
+            hj = eval_jet(self.h, 0j, order=1)
+            g0 = complex(eval_jet(self.g, 0j, order=0).d0)
+        h0 = complex(hj.d0)
         if self.m >= 1:
             if abs(g0 - 1) > 1e-9:
                 raise ValueError(f"g(0) must be 1 for m >= 1, got {g0}")
@@ -92,8 +98,7 @@ class LogHarmonicMap:
         else:
             if abs(g0) <= 1e-12:
                 raise ValueError("g(0) must be nonzero for m = 0")
-            h1 = complex(eval_jet(self.h, 0j, order=1).d1)
-            if abs(h0) <= 1e-12 and abs(h1) <= 1e-12:
+            if abs(h0) <= 1e-12 and abs(complex(hj.d1)) <= 1e-12:
                 # h may vanish at 0 only simply (local univalence of h)
                 raise ValueError("h must have h(0) != 0 or h'(0) != 0 for m = 0")
 
@@ -352,48 +357,45 @@ def jacobian(f: LogHarmonicMap, z: complex) -> float:
     return float(_at(_jacobian, f, z))
 
 
-def map_value(f: LogHarmonicMap, z):
-    """f(z) itself.  Accepts arrays.  The origin maps to 0 whenever m >= 1:
-    |f| = |z|^Re(a+b) |h g| and Re(a + b) = (2 Re beta + 1) m > 0."""
+def _value(f: LogHarmonicMap, z, order: int) -> tuple[Jet, Jet]:
+    """Jets of A = z^a h and B = z^b g, so f = A conj(B), f_z = A' conj(B)
+    and f_zbar = A conj(B').  A zero exponent (both when m = 0) multiplies
+    by nothing, so no factor 1 turns an overflow's inf into NaN."""
+    A, B = eval_jet(f.h, z, order), eval_jet(f.g, z, order)
     a, b = f.exponents
-    if isinstance(z, np.ndarray):
-        with np.errstate(all="ignore"):
-            hv = eval_jet(f.h, z, order=0).d0
-            gv = eval_jet(f.g, z, order=0).d0
-            if f.m == 0:
-                return hv * np.conj(gv)
-            logz = np.log(z)
-            val = np.exp(a * logz) * hv * np.conj(np.exp(b * logz) * gv)
-        return np.where(z == 0, 0j, val)
-    z = complex(z)
-    if f.m >= 1 and z == 0:
-        return 0j
-    hv = complex(eval_jet(f.h, z, order=0).d0)
-    gv = complex(eval_jet(f.g, z, order=0).d0)
-    if f.m == 0:
-        return hv * gv.conjugate()
-    return zpow_value(z, a) * hv * (zpow_value(z, b) * gv).conjugate()
+    if a != 0:
+        A = zpow_jet(z, a, order) * A
+    if b != 0:
+        B = zpow_jet(z, b, order) * B
+    return A, B
+
+
+def map_value(f: LogHarmonicMap, z):
+    """f(z) itself, left inf or NaN where it overflows.  Accepts arrays.  The
+    origin maps to 0 whenever m >= 1: |f| = |z|^Re(a+b) |h g| and
+    Re(a + b) = (2 Re beta + 1) m > 0, though z^b may have a pole there."""
+    array = isinstance(z, np.ndarray)
+    if not array:
+        z = complex(z)
+        if f.m and z == 0:
+            return 0j
+    with np.errstate(all="ignore"):
+        A, B = _value(f, z, 0)
+        v = A.d0 * B.d0.conjugate()
+    if not array:
+        return complex(v)
+    return np.where(z == 0, 0j, v) if f.m else v
+
+
+def _wirtinger(f: LogHarmonicMap, z):
+    A, B = _value(f, z, 1)
+    conj_b = B.d0.conjugate()
+    return A.d1 * conj_b, A.d0 * B.d1.conjugate(), A.d0 * conj_b
 
 
 def wirtinger(f: LogHarmonicMap, z: complex) -> tuple[complex, complex, complex]:
     """(f_z, f_zbar, f(z)).  Satisfies |f_z|^2 - |f_zbar|^2 = jacobian(f, z)."""
-    z = complex(z)
-    hj = eval_jet(f.h, z, order=1)
-    gj = eval_jet(f.g, z, order=1)
-    h0, h1 = complex(hj.d0), complex(hj.d1)
-    g0, g1 = complex(gj.d0), complex(gj.d1)
-    if f.m == 0:
-        return h1 * g0.conjugate(), h0 * g1.conjugate(), h0 * g0.conjugate()
-    a, b = f.exponents
-    zp_a = zpow_value(z, a)
-    zq_b = zpow_value(z, b)
-    f_val = zp_a * h0 * (zq_b * g0).conjugate()
-    f_z = zpow_value(z, a - 1) * (z * h1 + a * h0) * (zq_b * g0).conjugate()
-    # conj of (z^b g)' = z^b g' + b z^(b-1) g; the second term is absent when
-    # b == 0, which keeps the origin evaluable there
-    dg = zq_b * g1 if b == 0 else zq_b * g1 + b * zpow_value(z, b - 1) * g0
-    f_zbar = zp_a * h0 * dg.conjugate()
-    return f_z, f_zbar, f_val
+    return tuple(map(complex, _at(_wirtinger, f, z)))
 
 
 def _pre(f: LogHarmonicMap, z):

@@ -10,7 +10,7 @@ from logharm import jets, maps, norms
 from logharm.errors import PoleEncountered
 from logharm.expr import eval_jet
 from logharm.fixtures import fixture_names, load_fixture
-from logharm.jets import Jet, zpow_jet, zpow_value
+from logharm.jets import Jet, zpow_jet
 from logharm.maps import LogHarmonicMap, origin_exponent
 
 FD_STEP = 1e-5
@@ -165,15 +165,17 @@ def test_zpow_jet_keeps_exp_log_for_a_non_integer_exponent():
         assert a.tobytes() == b.tobytes()
 
 
-def test_zpow_value_origin_rules():
-    assert zpow_value(0j, 2) == 0
-    assert zpow_value(0j, 0.5 + 1j) == 0
-    assert zpow_value(0j, 0) == 1
-    with pytest.raises(PoleEncountered):
-        zpow_value(0j, -1)
-    with pytest.raises(PoleEncountered):
-        zpow_value(0j, -0.5 + 2j)
-    assert zpow_value(0.5 + 0j, 2) == pytest.approx(0.25)
+def test_zpow_jet_origin_rules():
+    # at z = 0 coefficient k is C(w, k) when w == k, 0 when Re(w - k) > 0
+    assert zpow_jet(0j, 2, order=1).coeffs == (0, 0)
+    assert zpow_jet(0j, 0.5 + 1j, order=0).coeffs == (0,)
+    assert zpow_jet(0j, 1, order=2).coeffs == (0, 1, 0)  # C(1, 2) = 0
+    assert zpow_jet(0j, 1.5, order=1).coeffs == (0, 0)
+    assert zpow_jet(0j, 0, order=1).coeffs == (1, 0)
+    for w, order in ((-1, 0), (-0.5 + 2j, 0), (0.5, 1), (0.5 + 1j, 1)):
+        with pytest.raises(PoleEncountered):
+            zpow_jet(0j, w, order=order)
+    assert zpow_jet(0.5 + 0j, 2, order=1).coeffs == pytest.approx((0.25, 1.0))
 
 
 # -- array-path economy ---------------------------------------------------

@@ -327,6 +327,24 @@ def test_map_value_is_zero_at_the_origin_when_re_b_is_negative(m, beta):
     assert values[1] == pytest.approx(map_value(f, 0.5), rel=1e-14)
 
 
+def test_value_operators_overflow_without_numpy_warnings(gap_one):
+    # exp(z/(1-z)) overflows at 0.999; filterwarnings = error turns a warning into a failure
+    assert not cmath.isfinite(map_value(gap_one, 0.999))
+    with pytest.raises(PoleEncountered, match="non-finite value"):
+        wirtinger(gap_one, 0.999)
+
+
+@pytest.mark.parametrize("name", ["logharmonic-koebe", "vanishing-simple"])
+def test_array_map_value_takes_z_to_the_first_power_exactly(name):
+    # a = 1, b = 0: f = z h conj(g), with no exp(log z) rounding in z^1
+    f = build(name)
+    assert f.exponents == (1, 0)
+    zs = (np.array([[0.3], [0.9], [0.999]]) * np.exp(2j * np.pi * np.arange(64) / 64)).ravel()
+    with np.errstate(all="ignore"):  # exp(2z/(1-z)) overflows at 0.999
+        want = zs * eval_jet(f.h, zs, 0).d0 * np.conj(eval_jet(f.g, zs, 0).d0)
+    assert map_value(f, zs).tobytes() == want.tobytes()
+
+
 def test_map_value_spot_checks():
     f = build("logharmonic-koebe")
     assert map_value(f, 0.5) == pytest.approx(0.5 * math.exp(4))
