@@ -312,7 +312,11 @@ def zpow_jet(z, w, order: int = 2) -> Jet:
     if not isinstance(z, np.ndarray) and z == 0:
         return Jet(_origin_coeff(w, k) for k in range(order + 1))
     n = _as_exact_int(w)
-    v = z ** n if n is not None else np.exp(w * _log(z))
+    if n is not None:
+        v = z ** n
+    else:
+        log_z = _log(z)  # a named operand, which numpy never elides
+        v = np.exp(w * log_z)
     coeffs = [v]
     binom = 1.0 + 0j
     for k in range(1, order + 1):

@@ -45,8 +45,8 @@ raises exactly there, with a typed error (PoleEncountered,
 DegenerateDenominator, NotSensePreserving, CriticalPoint) that one cause
 table picks, in a fixed order, only after the value has failed.  The map
 itself is f = A conj(B) with A = z^a h and B = z^b g (`_value`):
-`map_value` is A conj(B) for scalars and arrays alike, left inf or NaN
-where it overflows, and `wirtinger` is the scalar operator of
+`map_value` is A conj(B) for scalars and arrays alike, inf where h or g
+overflows, and `wirtinger` is the scalar operator of
 (A' conj(B), A conj(B'), A conj(B)).
 """
 from __future__ import annotations
@@ -244,9 +244,15 @@ def _analytic_schwarzian_kernel(d1, d2, d3):
 _FAILURES = (ZeroDivisionError, OverflowError, PoleEncountered)
 
 
+# points per formula call in a field: a complex array of 8192 points is
+# 128 KiB, below numpy's 256 KiB threshold for eliding a temporary into an
+# in-place operation that rounds differently, and small enough to stay in cache
+_CHUNK_POINTS = 8192
+
+
 def as_field(formula, real: bool = False):
     """Lift an array formula to a field: the one place that decides shape,
-    warnings and NaN.
+    warnings, NaN and the working set.
 
     The field takes any complex array z and returns formula(z) with the shape
     of z, without numpy warnings, and NaN wherever a value is not finite:
@@ -254,19 +260,34 @@ def as_field(formula, real: bool = False):
     coefficients that do not depend on z stay scalars inside the formula and
     are broadcast here.  A raise from ``_FAILURES`` can only come from such a
     scalar coefficient, so it makes the whole field NaN.
+
+    More than ``_CHUNK_POINTS`` points are evaluated in consecutive chunks of
+    that many points of the flattened z.  No temporary inside a formula is
+    then large enough for numpy to elide, so every point's value is the same
+    bits however many points the field is called on, and a formula's
+    temporaries stay in cache.
     """
     dtype, nan = (float, np.nan) if real else (complex, np.nan + 1j * np.nan)
+
+    def chunk(z):
+        try:
+            v = np.asarray(formula(z), dtype=dtype)
+        except _FAILURES:
+            v = np.asarray(nan)
+        if v.shape != z.shape:
+            v = np.broadcast_to(v, z.shape)
+        return np.where(np.isfinite(v), v, nan)
 
     def field(z):
         z = np.asarray(z, dtype=complex)
         with np.errstate(all="ignore"):
-            try:
-                v = np.asarray(formula(z), dtype=dtype)
-            except _FAILURES:
-                v = np.asarray(nan)
-            if v.shape != z.shape:
-                v = np.broadcast_to(v, z.shape)
-            return np.where(np.isfinite(v), v, nan)
+            if z.size <= _CHUNK_POINTS:
+                return chunk(z)
+            flat = z.ravel()
+            out = np.empty(flat.shape, dtype)
+            for i in range(0, flat.size, _CHUNK_POINTS):
+                out[i : i + _CHUNK_POINTS] = chunk(flat[i : i + _CHUNK_POINTS])
+            return out.reshape(z.shape)
 
     return field
 
@@ -371,8 +392,9 @@ def _value(f: LogHarmonicMap, z, order: int) -> tuple[Jet, Jet]:
 
 
 def map_value(f: LogHarmonicMap, z):
-    """f(z) itself, left inf or NaN where it overflows.  Accepts arrays.  The
-    origin maps to 0 whenever m >= 1: |f| = |z|^Re(a+b) |h g| and
+    """f(z) itself, left inf where h or g overflows and NaN where it is
+    otherwise undefined.  Accepts arrays, and then returns a new array shaped
+    like z.  The origin maps to 0 whenever m >= 1: |f| = |z|^Re(a+b) |h g| and
     Re(a + b) = (2 Re beta + 1) m > 0, though z^b may have a pole there."""
     array = isinstance(z, np.ndarray)
     if not array:
@@ -381,10 +403,18 @@ def map_value(f: LogHarmonicMap, z):
             return 0j
     with np.errstate(all="ignore"):
         A, B = _value(f, z, 0)
-        v = A.d0 * B.d0.conjugate()
+        conj_b = B.d0.conjugate()  # a named operand, which numpy never elides
+        v = A.d0 * conj_b
+        # an infinite factor such as z^a (inf+0j) = inf+nanj can leave the
+        # product NaN in both parts
+        nan = np.isnan(v)
+        if nan.any():
+            v = np.where(nan & (np.isinf(A.d0) | np.isinf(B.d0)), np.inf, v)
     if not array:
         return complex(v)
-    return np.where(z == 0, 0j, v) if f.m else v
+    if f.m:
+        v = np.where(z == 0, 0j, v)
+    return v if np.shape(v) == z.shape else np.full(z.shape, v)  # constant h and g
 
 
 def _wirtinger(f: LogHarmonicMap, z):

@@ -3,8 +3,10 @@
 The mesh is polar with uniform angles and radii accumulating
 geometrically at the boundary, the same ladder the norm sweeps walk, so
 a colored render doubles as a picture of a weighted derivative field.
-Rows are emitted in (r, theta) order and every written w re-evaluates
-bit-identically through the vectorized path.
+Rows are emitted in (r, theta) order, and every written w re-evaluates
+bit-identically through `eval_target`, on the whole mesh or on any subset
+of its points: fields evaluate in chunks too small for numpy to elide a
+temporary (`maps.as_field`), so a value's bits do not depend on the call.
 """
 from __future__ import annotations
 
@@ -90,17 +92,34 @@ def _weighted_field(target: Expr | LogHarmonicMap):
 def _csv_block(rows: np.ndarray) -> bytes:
     """The CSV lines of finite float64 `rows`, each value in the digits of
     its Python `repr`: the shortest string that round-trips."""
-    import orjson  # only the CSV writer pays its import
-
     # orjson writes ryu's shortest digits, which repr also picks; the two
     # differ only in the notation of values repr writes in scientific form
-    body = orjson.dumps(np.ascontiguousarray(rows), option=orjson.OPT_SERIALIZE_NUMPY)
-    lines = body[2:-2].split(b"],[")
     mag = np.abs(rows)
     scientific = (((mag < 1e-4) & (mag != 0)) | (mag >= 1e16)).any(axis=1)
-    for i in np.flatnonzero(scientific):
-        lines[i] = ",".join(map(repr, rows[i].tolist())).encode("ascii")
-    return b"\n".join(lines) + b"\n"
+    parts = []
+    start = 0
+    for i in np.flatnonzero(scientific).tolist() + [len(rows)]:
+        if i > start:
+            parts.append(_orjson_lines(rows[start:i]))
+        if i < len(rows):
+            parts.append((",".join(map(repr, rows[i].tolist())) + "\n").encode("ascii"))
+        start = i + 1
+    return b"".join(parts)
+
+
+def _orjson_lines(rows: np.ndarray) -> bytes:
+    """The CSV lines of `rows` from one orjson dump of their values as one
+    flat list.  A row ends at every n-th comma of the list, for n columns,
+    and at its closing bracket: those bytes become newlines in place, and
+    the opening bracket is dropped."""
+    import orjson  # only the CSV writer pays its import
+
+    body = orjson.dumps(rows.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+    text = np.frombuffer(body, dtype=np.uint8)[1:].copy()
+    n = rows.shape[1]
+    text[np.flatnonzero(text == ord(","))[n - 1 :: n]] = ord("\n")
+    text[-1] = ord("\n")
+    return text.tobytes()
 
 
 def _write_csv(path: Path, z: np.ndarray, w: np.ndarray, ok: np.ndarray) -> None:

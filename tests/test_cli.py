@@ -236,12 +236,15 @@ def test_unevaluable_margin_is_null_not_diverged(capsys):
 
 
 def test_infinite_value_is_diverged(capsys):
-    # exp(exp(90)) overflows
-    code, report, _ = run_json(
-        capsys, "eval", "--op", "map-value", "--h", "exp(exp(100*z))", "--g", "1", "--z", "0.9"
-    )
-    assert code == 0
-    assert report["value"] == "diverged"
+    # exp(exp(90)) overflows; with m = 1, z^1 times the overflowed h is NaN in
+    # both parts unless map_value reads the infinite factor
+    for argv in (
+        ("--h", "exp(exp(100*z))", "--g", "1", "--z", "0.9"),
+        ("--m", "1", "--h", "exp(1000)+z", "--g", "1", "--z", "0.3"),
+    ):
+        code, report, _ = run_json(capsys, "eval", "--op", "map-value", *argv)
+        assert code == 0
+        assert report["value"] == "diverged", argv
 
 
 def test_jsonable_non_finite_forms():

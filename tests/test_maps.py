@@ -42,8 +42,10 @@ from logharm.maps import (
     schwarzian_field,
     wirtinger,
 )
+from logharm.norms import logderiv_field
+from logharm.render import mesh_points
 
-from conftest import IDENTITY_SUITE, build
+from conftest import ALL_MAP_NAMES, IDENTITY_SUITE, build
 
 FD = 1e-5
 
@@ -342,7 +344,27 @@ def test_array_map_value_takes_z_to_the_first_power_exactly(name):
     zs = (np.array([[0.3], [0.9], [0.999]]) * np.exp(2j * np.pi * np.arange(64) / 64)).ravel()
     with np.errstate(all="ignore"):  # exp(2z/(1-z)) overflows at 0.999
         want = zs * eval_jet(f.h, zs, 0).d0 * np.conj(eval_jet(f.g, zs, 0).d0)
-    assert map_value(f, zs).tobytes() == want.tobytes()
+    got = map_value(f, zs)
+    ok = np.isfinite(want)
+    assert got[ok].tobytes() == want[ok].tobytes()
+    assert np.isinf(got[~ok]).all()  # an overflow reads inf, not NaN
+
+
+def test_map_value_of_an_overflow_is_infinite():
+    # z^1 (inf+0j) is inf+nanj, and its product with conj(g) NaN in both parts
+    for m, h in ((1, "exp(1000)+z"), (0, "exp(1000)*(1+z)")):
+        f = LogHarmonicMap.from_strings(m, 0, h, "1")
+        assert cmath.isinf(map_value(f, 0.3))
+        assert np.isinf(map_value(f, np.array([0.3, -0.5j]))).all()
+
+
+def test_map_value_of_constant_factors_is_an_array_shaped_like_z():
+    f = LogHarmonicMap.from_strings(0, 0, "2", "1")
+    zs = np.array([[0.1, 0.2j, -0.3]])
+    values = map_value(f, zs)
+    assert values.shape == zs.shape and values.dtype == complex
+    assert (values == 2).all()
+    values[0, 0] = 0  # writable, not a broadcast view
 
 
 def test_map_value_spot_checks():
@@ -729,3 +751,33 @@ def test_fields_are_nan_exactly_where_scalars_raise():
         if name not in singular:
             for label, scalar, field in _operator_pairs(f):
                 _assert_parity(f, label, 0j, scalar(0j), _field_at(field, 0j))
+
+
+# -- a field's bits do not depend on how many points it is called on -----
+
+
+def _sweep_fields(f):
+    """Every field a norm or check sweeps, by label."""
+    fields = {
+        "pre_schwarzian": pre_schwarzian_field(f),
+        "schwarzian": schwarzian_field(f),
+        "dilatation": dilatation_field(f),
+        "dbar_pre_schwarzian": dbar_pre_schwarzian_field(f),
+        "dbar_schwarzian": dbar_schwarzian_field(f),
+        "logderiv_g": logderiv_field(f.g),
+        "product": analytic_pre_schwarzian_field(Mul(f.h, f.g)),
+    }
+    if f.m == 0:
+        fields["hg_epsilon"] = hg_epsilon_field(f, 0.5 - 0.25j)
+    return fields
+
+
+@pytest.mark.parametrize("name", ALL_MAP_NAMES)
+def test_fields_are_the_same_bits_on_one_call_and_on_slices(name):
+    # 39,937 points: several of as_field's chunks, and past the 16,384
+    # complex points at which numpy elides temporaries into in-place operations
+    z = mesh_points((40, 1024), 1 - 1e-3)
+    assert len(z) == 39937
+    for label, field in _sweep_fields(build(name)).items():
+        sliced = np.concatenate([field(z[i : i + 2048]) for i in range(0, len(z), 2048)])
+        assert field(z).tobytes() == sliced.tobytes(), label

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build
+from conftest import ALL_MAP_NAMES, build
 from logharm import render
 from logharm.errors import IoFailure
 from logharm.expr import parse
+from logharm.maps import map_value
 from logharm.render import RenderJob, eval_target, mesh_points, render_image
 
 RES = (32, 64)
@@ -92,6 +93,27 @@ def test_emitted_rows_reproduce_on_reevaluation(tmp_path):
     assert len(z) == summary.rows
     again = eval_target(f, z)
     assert (again == w).all()
+
+
+def test_every_written_row_of_a_large_render_reevaluates_bit_identically(tmp_path):
+    # 31,745 mesh points: the whole-mesh evaluation spans several of as_field's
+    # chunks and is past the size at which numpy elides temporaries
+    f = build("gap-one-sharp")
+    path = tmp_path / "g.csv"
+    summary = render_image(RenderJob(f, path, resolution=(32, 1024)))
+    z, w = _read_csv(path)
+    assert len(z) == summary.rows == 31745 - summary.skipped
+    picks = np.random.default_rng(13).choice(len(z), 256, replace=False)
+    assert eval_target(f, z[picks]).tobytes() == w[picks].tobytes()
+
+
+@pytest.mark.parametrize("name", ALL_MAP_NAMES)
+def test_values_are_the_same_bits_on_one_call_and_on_slices(name):
+    f = build(name)
+    z = mesh_points((40, 1024), 1 - 1e-3)
+    for image in (map_value, eval_target):
+        sliced = np.concatenate([image(f, z[i : i + 2048]) for i in range(0, len(z), 2048)])
+        assert image(f, z).tobytes() == sliced.tobytes(), image.__name__
 
 
 def test_logharmonic_koebe_spot_value():
