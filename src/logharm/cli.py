@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -574,10 +575,15 @@ def _emit_error(kind: str, exc: Exception) -> None:
     sys.stderr.write(json.dumps({"error": err}) + "\n")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: parse_args leaves it unchanged."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse already printed its message; normalize the code
         return int(exc.code) if exc.code else 0

@@ -29,7 +29,15 @@ from .maps import (
     hg_epsilon_field,
 )
 from .norms import (
-    _INNER_RADIUS, GridSpec, bloch_norm_log, level_walk, pre_schwarzian_norm, weighted_sup
+    _INNER_RADIUS,
+    GridSpec,
+    Sup,
+    bloch_log_sup,
+    level_walk,
+    pre_schwarzian_norm,
+    pre_schwarzian_sup,
+    weighted_sup,
+    weighted_sups,
 )
 
 # additive slack for pointwise inequalities
@@ -67,7 +75,7 @@ def _worst_margin(margin_field, grid: GridSpec | None, inner: float = 0.0):
     The margin is re-evaluated at the witness; that re-evaluation pins the
     reported margin to its witness and is the certificate of a fail.
     """
-    walk = level_walk(lambda r, zs: margin_field(zs), grid or GridSpec(), inner)
+    (walk,) = level_walk([lambda r, zs: margin_field(zs)], grid or GridSpec(), inner)
     re_eval = float(margin_field(np.array([walk.point]))[0])
     worst = re_eval if math.isfinite(re_eval) else walk.value
     return worst, walk.point, walk.samples, walk.failed
@@ -182,8 +190,9 @@ def hg_epsilon_univalence_check(
 
 def norm_gap_check(f: LogHarmonicMap, grid: GridSpec | None = None) -> CheckReport:
     """|norm(P_f) - norm(P_{hg})| against the bound 1."""
-    est_f = pre_schwarzian_norm(f, grid)
-    est_hg = weighted_sup(analytic_pre_schwarzian_field(Mul(f.h, f.g)), 1, grid)
+    est_f, est_hg = weighted_sups(
+        [pre_schwarzian_sup(f), Sup(analytic_pre_schwarzian_field(Mul(f.h, f.g)), 1)], grid
+    )
     samples = est_f.samples + est_hg.samples
     if est_f.diverged:
         return _inconclusive(
@@ -206,9 +215,10 @@ def epsilon_norm_gap_check(
     seminorm of log g; the weaker bound 1 + 2b is reported alongside."""
     eps = complex(eps)
     member = hg_epsilon_field(f, eps)  # raises for m >= 1, before any sweep
-    est_f = pre_schwarzian_norm(f, grid)
-    est_member = weighted_sup(member, 1, grid)
-    beta = bloch_norm_log(f.g, grid).value
+    est_f, est_member, est_bloch = weighted_sups(
+        [pre_schwarzian_sup(f), Sup(member, 1), bloch_log_sup(f.g)], grid
+    )
+    beta = est_bloch.value
     bound = 1.0 + abs(1 - eps) * beta
     weak_bound = 1.0 + 2.0 * beta
     samples = est_f.samples + est_member.samples

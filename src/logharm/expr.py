@@ -23,6 +23,7 @@ Note the grammar gives unary minus the tighter binding: ``-z^2`` is
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Union
 
@@ -299,7 +300,61 @@ def contains_var(e: Expr) -> bool:
     return contains_var(e.lhs) or contains_var(e.rhs)
 
 
-def _eval(e: Expr, zjet: Jet) -> Jet:
+class _BlockJets:
+    """The jets of one block of points, shared by the fields a sweep calls there.
+
+    While a sweep holds a block (`shared_jets`), a node that ``eval_jet`` is
+    asked for on that very array is evaluated once per block, at the highest
+    order any field has read it in the sweep so far, and a read at a lower
+    order gets that jet's prefix: the same bits, because jet arithmetic is
+    triangular (see ``jets``).  Such a node met inside another expression on
+    the block, as h is inside h*g, is read from here too.
+    """
+
+    def __init__(self):
+        self.block = None
+        self.jets: dict[int, Jet] = {}
+        # id -> (node, highest order read); holding the node keeps its id
+        self.orders: dict[int, tuple[Expr, int]] = {}
+
+    def hold(self, block) -> None:
+        self.block, self.jets = block, {}
+
+    def read(self, e: Expr, order: int) -> Jet:
+        key = id(e)
+        jet = self.jets.get(key)
+        if jet is None or jet.order < order:
+            top = max(order, self.orders.get(key, (e, 0))[1])
+            self.orders[key] = (e, top)
+            jet = self.jets[key] = _eval(e, Jet.variable(self.block, top), share=False)
+        return jet.truncate(order)
+
+
+_held: _BlockJets | None = None
+
+
+@contextmanager
+def shared_jets():
+    """Share jets between the fields called on one block of points at a time.
+
+    Yields ``hold(block)``: from that call on until the next, every field
+    that evaluates an expression at exactly the array ``block`` shares one
+    jet of it.  Leaving the context drops every jet.
+    """
+    global _held
+    outer, _held = _held, _BlockJets()
+    try:
+        yield _held.hold
+    finally:
+        _held = outer
+
+
+def _eval(e: Expr, zjet: Jet, share: bool = True) -> Jet:
+    """The jet of e, read from the held block's jets where e is shared there;
+    ``share=False`` evaluates e itself (its subexpressions may be read)."""
+    held = _held
+    if share and held is not None and zjet.coeffs[0] is held.block and id(e) in held.orders:
+        return held.read(e, zjet.order)
     if isinstance(e, Lit):
         return Jet.constant(e.value, zjet.order)
     if isinstance(e, Var):
@@ -332,8 +387,12 @@ def eval_jet(e: Expr, p, order: int = 3) -> Jet:
 
     p may be a complex scalar (pole conditions raise) or a numpy array of
     points (lift the formula with ``maps.as_field`` to mask non-finite entries).
+    Inside ``shared_jets``, the jet at the held block is shared.
     """
     try:
+        held = _held
+        if held is not None and p is held.block:
+            return held.read(e, order)
         return _eval(e, Jet.variable(p, order))
     except ZeroDivisionError as exc:
         raise PoleEncountered("division by zero", point=complex(p)) from exc
@@ -346,8 +405,3 @@ def eval_jet(e: Expr, p, order: int = 3) -> Jet:
 def eval_value(e: Expr, p):
     return eval_jet(e, p, order=0).d0
 
-
-def wirtinger_pair(e: Expr, p) -> tuple[complex, complex]:
-    """(d/dz, d/dzbar) of an analytic expression: the second slot is 0."""
-    jet = eval_jet(e, p, order=1)
-    return jet.d1, 0j

@@ -34,7 +34,9 @@ from .maps import (
     pre_schwarzian,
     schwarzian,
 )
-from .norms import GridSpec, bloch_norm_log, pre_schwarzian_norm, schwarzian_norm, weighted_sup
+from .norms import (
+    GridSpec, Sup, bloch_log_sup, pre_schwarzian_sup, schwarzian_sup, weighted_sups
+)
 
 # deterministic interior sample set for "max over samples" metrics
 _SAMPLES = np.concatenate(
@@ -120,6 +122,40 @@ def _gap(other: str):
     )
 
 
+# the catalog norms: metric -> the sup it estimates on a fixture
+_SUPS = {
+    "pre_schwarzian_norm": lambda fx: pre_schwarzian_sup(fx.map),
+    "product_pre_schwarzian_norm": lambda fx: Sup(
+        analytic_pre_schwarzian_field(Mul(fx.map.h, fx.map.g)), 1
+    ),
+    "member_pre_schwarzian_norm": lambda fx: Sup(hg_epsilon_field(fx.map, _eps(fx)), 1),
+    "bloch_log_g": lambda fx: bloch_log_sup(fx.map.g),
+    "schwarzian_norm": lambda fx: schwarzian_sup(fx.map),
+}
+# the norm each gap compares with the pre-Schwarzian norm
+_GAPS = {"norm_gap": "product_pre_schwarzian_norm", "eps_norm_gap": "member_pre_schwarzian_norm"}
+
+
+def _norms_read(metric: str) -> tuple[str, ...]:
+    if metric in _GAPS:
+        return ("pre_schwarzian_norm", _GAPS[metric])
+    return (metric,) if metric in _SUPS else ()
+
+
+def _norm(metric: str):
+    """A catalog norm.  The first one a run asks for reads every norm its
+    checks need from one sweep, in the order the checks need them, and
+    leaves the others in the memo."""
+
+    def value(fx, arg, grid, memo):
+        names = list(dict.fromkeys(n for c in fx.checks for n in _norms_read(c["metric"])))
+        ests = weighted_sups([_SUPS[n](fx) for n in names], grid)
+        memo.update(((n, None), est.value) for n, est in zip(names, ests))
+        return memo[metric, None]
+
+    return value
+
+
 def _at(op):
     return lambda fx, arg, *_: op(fx.map, arg)
 
@@ -138,17 +174,8 @@ def _omega_deviation(fx: Fixture, *_) -> float:
 # every catalog metric, keyed by its name in fixtures.json; an entry takes
 # (fixture, the check's arg, grid, the memo of this run)
 _METRICS = {
-    "pre_schwarzian_norm": lambda fx, arg, grid, _: pre_schwarzian_norm(fx.map, grid).value,
-    "product_pre_schwarzian_norm": lambda fx, arg, grid, _: weighted_sup(
-        analytic_pre_schwarzian_field(Mul(fx.map.h, fx.map.g)), 1, grid
-    ).value,
-    "member_pre_schwarzian_norm": lambda fx, arg, grid, _: weighted_sup(
-        hg_epsilon_field(fx.map, _eps(fx)), 1, grid
-    ).value,
-    "bloch_log_g": lambda fx, arg, grid, _: bloch_norm_log(fx.map.g, grid).value,
-    "schwarzian_norm": lambda fx, arg, grid, _: schwarzian_norm(fx.map, grid).value,
-    "norm_gap": _gap("product_pre_schwarzian_norm"),
-    "eps_norm_gap": _gap("member_pre_schwarzian_norm"),
+    **{metric: _norm(metric) for metric in _SUPS},
+    **{gap: _gap(other) for gap, other in _GAPS.items()},
     "pre_schwarzian_at": _at(pre_schwarzian),
     "schwarzian_at": _at(schwarzian),
     "dilatation_at": _at(dilatation),

@@ -11,22 +11,35 @@ No upper-bound certification is attempted.
 `level_walk` is the one grid walker: the norms and the criteria margins
 both reduce through it, in (r, theta) order with a strict comparison and a
 first-index tie-break, so every witness is deterministic.  It evaluates
-the field on blocks of consecutive levels of about `_BLOCK_POINTS` points,
-one call per block, and the origin sample on its own.  The refine makes a
-few zoom rounds per bracket, each one field call on `_ZOOM_POINTS` evenly
-spaced points.
+each field on blocks of consecutive levels of about `_BLOCK_POINTS` points,
+one call per block, and the origin sample on its own.
+
+Norms that share a grid read one walk (`weighted_sups`): every field is
+still called on every block, but the fields share the jets of h, g and any
+other expression they evaluate on that block (`expr.shared_jets`), so each
+estimate is bit for bit the one it has alone.  A map whose norms diverge
+walks its punctured annulus separately from the norms of the same map that
+start at the origin.
+
+Each field is then refined on its own, in rounds of a radial and an
+angular zoom search.  A search makes `_ZOOM_ROUNDS` calls of the field on
+`_ZOOM_POINTS` evenly spaced points, and is skipped when its inputs are
+those of its last run (the radial bracket and theta, or the point r
+theta), since it would find that run's point again and cannot beat the
+best value.  So once a round moves nothing, every later round is skipped.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AllSamplesFailed
-from .expr import Expr, eval_jet
+from .expr import Expr, eval_jet, shared_jets
 from .maps import (
     LogHarmonicMap, as_field, origin_exponent, pre_schwarzian_field, schwarzian_field
 )
@@ -97,6 +110,10 @@ def _weighted(field, p: int, r, theta):
     return z, np.where(np.isfinite(w), w, -math.inf)
 
 
+def _weighted_values(field, p: int, r, theta):
+    return _weighted(field, p, r, theta)[1]
+
+
 def _zoom_max(fn, a: float, b: float):
     """(x, fn(x)) at the first best point found in [a, b].
 
@@ -127,8 +144,9 @@ class Walk(NamedTuple):
     failed: int
 
 
-def level_walk(level_fn, grid: GridSpec, inner: float = 0.0) -> Walk:
-    """Max of a real-valued per-level function over the polar grid.
+def level_walk(level_fns, grid: GridSpec, inner: float = 0.0):
+    """Max of each of several real-valued per-level functions over the polar
+    grid: one `Walk` per function, from one walk.
 
     ``level_fn(r, zs)`` gets a column of consecutive radii r, shape (L, 1),
     and their points zs = r exp(i theta), shape (L, n), and returns one real
@@ -136,8 +154,15 @@ def level_walk(level_fn, grid: GridSpec, inner: float = 0.0) -> Walk:
     samples.  Levels run in order of increasing r, and the reduction uses a
     strict comparison with the first index in (r, theta) order winning
     ties, so the witness is deterministic and does not depend on the block
-    size.  The origin level is a single sample, evaluated on its own.
+    size.  The origin level is a single sample, evaluated on its own.  Every
+    function is called on each block in list order, and the functions share
+    the block's jets (`expr.shared_jets`), so each returns the same bits as
+    when walked alone.  `AllSamplesFailed` is raised when every sample of
+    any one function failed.  A single function, not in a list, gives a
+    single `Walk`.
     """
+    if callable(level_fns):
+        return level_walk([level_fns], grid, inner)[0]
     radii = _radii(inner, grid.r_max, grid.radial_levels)
     thetas = np.arange(grid.angular_count) * (2.0 * math.pi / grid.angular_count)
     ring = np.exp(1j * thetas)
@@ -145,33 +170,42 @@ def level_walk(level_fn, grid: GridSpec, inner: float = 0.0) -> Walk:
     first = 1 if radii[0] == 0.0 else 0
     blocks = [(0, 1, ring[:1])] if first else []
     blocks += [(i, i + step, ring) for i in range(first, len(radii), step)]
-    best = (-math.inf, 0j, 0, 0.0)
-    total = failed = 0
-    for lo, hi, angles in blocks:
-        r = radii[lo:hi, None]
-        zs = r * angles
-        vals = np.asarray(level_fn(r, zs), dtype=float)
-        ok = np.isfinite(vals)
-        total += vals.size
-        failed += int(vals.size - np.count_nonzero(ok))
-        if not ok.any():
-            continue
-        k = int(np.argmax(np.where(ok, vals, -math.inf)))
-        i, j = divmod(k, zs.shape[1])
-        if vals.flat[k] > best[0]:
-            best = (float(vals.flat[k]), complex(zs[i, j]), lo + i, float(thetas[j]))
-    if failed == total:
+    best = [(-math.inf, 0j, 0, 0.0)] * len(level_fns)
+    total, failed = [0] * len(level_fns), [0] * len(level_fns)
+    with shared_jets() as hold:
+        for lo, hi, angles in blocks:
+            r = radii[lo:hi, None]
+            zs = r * angles
+            hold(zs)
+            for n, level_fn in enumerate(level_fns):
+                vals = np.asarray(level_fn(r, zs), dtype=float)
+                ok = np.isfinite(vals)
+                total[n] += vals.size
+                failed[n] += int(vals.size - np.count_nonzero(ok))
+                if not ok.any():
+                    continue
+                k = int(np.argmax(np.where(ok, vals, -math.inf)))
+                i, j = divmod(k, zs.shape[1])
+                if vals.flat[k] > best[n][0]:
+                    best[n] = (float(vals.flat[k]), complex(zs[i, j]), lo + i, float(thetas[j]))
+    if any(bad == all_ for bad, all_ in zip(failed, total)):
         raise AllSamplesFailed("every grid sample failed to evaluate")
-    return Walk(*best, radii, total, failed)
+    return [Walk(*b, radii, all_, bad) for b, all_, bad in zip(best, total, failed)]
 
 
-def _sweep(field, weight_power: int, grid: GridSpec, inner: float) -> NormEstimate:
-    walk = level_walk(
-        lambda r, zs: np.abs(field(zs)) * ((1.0 - r * r) ** weight_power), grid, inner
-    )
+def _level_values(field, weight_power: int, r, zs):
+    return np.abs(field(zs)) * ((1.0 - r * r) ** weight_power)
+
+
+def _refine(field, weight_power: int, walk: Walk, grid: GridSpec, inner: float,
+            diverged: bool) -> NormEstimate:
     radii, best_level, best_val, th_best = walk.radii, walk.level, walk.value, walk.theta
     r_best = float(radii[best_level])
+    dtheta = 2.0 * math.pi / grid.angular_count
     refine_trace = [best_val]
+    # a zoom whose inputs have not moved since its last run would find that
+    # run's point again, which cannot beat best_val, so it is skipped
+    last_r = last_theta = None
 
     for _ in range(grid.refine_rounds):
         lo = float(radii[best_level - 1]) if best_level > 0 else inner
@@ -180,27 +214,28 @@ def _sweep(field, weight_power: int, grid: GridSpec, inner: float) -> NormEstima
             if best_level + 1 < len(radii)
             else grid.r_max
         )
-        r_new, v_r = _zoom_max(lambda r: _weighted(field, weight_power, r, th_best)[1], lo, hi)
-        if v_r > best_val:
-            best_val, r_best = v_r, r_new
-            while best_level + 1 < len(radii) and radii[best_level + 1] < r_best:
-                best_level += 1
-            while best_level > 0 and radii[best_level] > r_best:
-                best_level -= 1
+        if (lo, hi, th_best) != last_r:
+            last_r = (lo, hi, th_best)
+            r_new, v_r = _zoom_max(
+                partial(_weighted_values, field, weight_power, theta=th_best), lo, hi
+            )
+            if v_r > best_val:
+                best_val, r_best = v_r, r_new
+                while best_level + 1 < len(radii) and radii[best_level + 1] < r_best:
+                    best_level += 1
+                while best_level > 0 and radii[best_level] > r_best:
+                    best_level -= 1
 
-        dtheta = 2.0 * math.pi / grid.angular_count
-        th_new, v_t = _zoom_max(
-            lambda t: _weighted(field, weight_power, r_best, t)[1],
-            th_best - dtheta,
-            th_best + dtheta,
-        )
-        if v_t > best_val:
-            best_val, th_best = v_t, th_new
+        if (r_best, th_best) != last_theta:
+            last_theta = (r_best, th_best)
+            th_new, v_t = _zoom_max(
+                partial(_weighted_values, field, weight_power, r_best),
+                th_best - dtheta,
+                th_best + dtheta,
+            )
+            if v_t > best_val:
+                best_val, th_best = v_t, th_new
         refine_trace.append(best_val)
-        if best_val == refine_trace[-2]:
-            # nothing moved, so every later round would repeat this one exactly
-            refine_trace += [best_val] * (grid.refine_rounds + 1 - len(refine_trace))
-            break
 
     z, w = _weighted(field, weight_power, r_best, th_best)
     # the one-point re-evaluation is the certificate; keep the max seen
@@ -209,11 +244,54 @@ def _sweep(field, weight_power: int, grid: GridSpec, inner: float) -> NormEstima
         value=value,
         argmax=argmax,
         grid=grid,
+        diverged=diverged,
         samples=walk.samples,
         failed_samples=walk.failed,
         flagged=walk.failed > 0.01 * walk.samples,
         refine_values=tuple(refine_trace),
     )
+
+
+def _sweep(fields, grid: GridSpec, singular: bool = False) -> list[NormEstimate]:
+    """One estimate per (field, weight power) pair: one grid walk for all of
+    them, then a refine per field.  A singular sweep covers the punctured
+    annulus |z| >= _INNER_RADIUS and marks its estimates diverged."""
+    inner = _INNER_RADIUS if singular else 0.0
+    walks = level_walk([partial(_level_values, fld, p) for fld, p in fields], grid, inner)
+    return [
+        _refine(fld, p, walk, grid, inner, singular) for (fld, p), walk in zip(fields, walks)
+    ]
+
+
+@dataclass(frozen=True)
+class Sup:
+    """One sup to estimate: of (1 - |z|^2)^weight_power |field(z)| over the
+    disk, or, when ``singular``, over the punctured annulus, marked diverged.
+    A map whose P_f = c/z + O(1) has c != 0 has both norms singular."""
+
+    field: Callable
+    weight_power: int
+    singular: bool = False
+
+    def __post_init__(self) -> None:
+        if self.weight_power not in (1, 2):
+            raise ValueError("weight_power must be 1 or 2")
+
+
+def weighted_sups(sups: Sequence[Sup], grid: GridSpec | None = None) -> list[NormEstimate]:
+    """The estimate of each sup, bit for bit the one it has alone, from one
+    grid walk per inner radius: every field is still called on every block,
+    but the fields of one walk share the jets of h, g and any other
+    expression they evaluate there.  Walks run in order of their first sup;
+    each field is refined on its own."""
+    grid = grid or GridSpec()
+    out: list = [None] * len(sups)
+    for singular in dict.fromkeys(s.singular for s in sups):
+        picked = [i for i, s in enumerate(sups) if s.singular == singular]
+        ests = _sweep([(sups[i].field, sups[i].weight_power) for i in picked], grid, singular)
+        for i, est in zip(picked, ests):
+            out[i] = est
+    return out
 
 
 def weighted_sup(field, weight_power: int, grid: GridSpec | None = None) -> NormEstimate:
@@ -223,25 +301,27 @@ def weighted_sup(field, weight_power: int, grid: GridSpec | None = None) -> Norm
     samples that failed to evaluate.  Failed samples are skipped and
     counted; `flagged` is set when more than 1% fail.
     """
-    if weight_power not in (1, 2):
-        raise ValueError("weight_power must be 1 or 2")
-    return _sweep(field, weight_power, grid or GridSpec(), inner=0.0)
+    return weighted_sups([Sup(field, weight_power)], grid)[0]
 
 
-def _map_norm(field, weight_power: int, f: LogHarmonicMap, grid: GridSpec) -> NormEstimate:
-    # P_f = c/z + O(1): for c != 0 both norms are infinite, and the estimate
-    # is the sup over the punctured annulus [_INNER_RADIUS, r_max]
-    singular = origin_exponent(f) != 0
-    est = _sweep(field, weight_power, grid, inner=_INNER_RADIUS if singular else 0.0)
-    return dataclasses.replace(est, diverged=singular)
+# P_f = c/z + O(1): for c != 0 both norms of f are infinite, and each
+# estimate is the sup over the punctured annulus [_INNER_RADIUS, r_max]
+
+
+def pre_schwarzian_sup(f: LogHarmonicMap) -> Sup:
+    return Sup(pre_schwarzian_field(f), 1, singular=origin_exponent(f) != 0)
+
+
+def schwarzian_sup(f: LogHarmonicMap) -> Sup:
+    return Sup(schwarzian_field(f), 2, singular=origin_exponent(f) != 0)
 
 
 def pre_schwarzian_norm(f: LogHarmonicMap, grid: GridSpec | None = None) -> NormEstimate:
-    return _map_norm(pre_schwarzian_field(f), 1, f, grid or GridSpec())
+    return weighted_sups([pre_schwarzian_sup(f)], grid)[0]
 
 
 def schwarzian_norm(f: LogHarmonicMap, grid: GridSpec | None = None) -> NormEstimate:
-    return _map_norm(schwarzian_field(f), 2, f, grid or GridSpec())
+    return weighted_sups([schwarzian_sup(f)], grid)[0]
 
 
 def logderiv_field(e: Expr):
@@ -254,9 +334,13 @@ def logderiv_field(e: Expr):
     return as_field(formula)
 
 
+def bloch_log_sup(g: Expr) -> Sup:
+    return Sup(logderiv_field(g), 1)
+
+
 def bloch_norm_log(g: Expr, grid: GridSpec | None = None) -> NormEstimate:
     """Bloch seminorm of log g: sup (1 - |z|^2) |g'(z)/g(z)|."""
-    return _sweep(logderiv_field(g), 1, grid or GridSpec(), inner=0.0)
+    return weighted_sups([bloch_log_sup(g)], grid)[0]
 
 
 @dataclass(frozen=True)

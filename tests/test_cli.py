@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logharm import cli
 from logharm.cli import UsageError, _build_parser, _jsonable, main, parse_complex
 from logharm.criteria import (
     associated_starlike,
@@ -463,6 +464,23 @@ def test_usage_errors_exit_two(capsys):
     for argv in cases:
         assert main(argv) == 2, argv
         capsys.readouterr()
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    small = ("--radial-levels", "20", "--angular", "64", "--refine", "1")
+    calls = [
+        ["check", "--name", "norm-gap", "--bogus"],  # argparse raises SystemExit
+        ["check", "--name", "norm-gap", *GAP_ONE, *small],
+        ["norm", "--kind", "pre", *GAP_FIVE, *small],
+        ["check", "--name", "eps-norm-gap", *GAP_FIVE, "--eps", "-1", *small],
+        ["check", "--name", "norm-gap", *GAP_ONE, *small],
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    assert reused[0][0] == 2 and "--bogus" in reused[0][2]
+    assert reused[-1] == reused[1]
+    monkeypatch.setattr(cli, "_parser", _build_parser)
+    assert [run(capsys, *argv) for argv in calls] == reused
 
 
 def test_help_exits_zero(capsys):

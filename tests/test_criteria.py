@@ -156,7 +156,7 @@ def test_epsilon_norm_gap_chain(gap_five):
 
 def test_epsilon_norm_gap_rejects_m_ge_1_before_sweeping(monkeypatch):
     calls = []
-    monkeypatch.setattr(criteria, "pre_schwarzian_norm", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(criteria, "weighted_sups", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="m = 0"):
         epsilon_norm_gap_check(build("starlike-vanishing"), 0.5, COARSE)
     assert calls == []

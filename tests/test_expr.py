@@ -23,7 +23,6 @@ from logharm.expr import (
     eval_value,
     parse,
     unparse,
-    wirtinger_pair,
 )
 
 CORPUS = [
@@ -201,13 +200,6 @@ def test_exp_log_inverse(text):
         got = eval_jet(composed, p)
         for a, b in zip(got.coeffs, want.coeffs):
             assert abs(a - b) <= 1e-12 * (1 + abs(b))
-
-
-def test_wirtinger_pair_is_analytic():
-    dz, dzbar = wirtinger_pair(parse("z/(1-z)^2"), 0.2 + 0.1j)
-    j = eval_jet(parse("z/(1-z)^2"), 0.2 + 0.1j)
-    assert dz == j.d1
-    assert dzbar == 0
 
 
 def test_power_with_z_dependent_exponent():

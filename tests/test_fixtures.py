@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from logharm import fixtures
+from logharm import fixtures, norms
 from logharm.fixtures import (
     CheckRow,
     fixture_names,
@@ -86,14 +86,22 @@ def test_relative_tolerance_checks_use_relative_error():
     ],
 )
 def test_gap_row_is_difference_of_sibling_rows(name, gap, a, b, monkeypatch):
-    calls = []
-    counted = fixtures.pre_schwarzian_norm
+    # P_f is swept where every sweep happens, in norms._sweep; tag its field
+    # to count the sweeps that read it
+    p_fields, calls = [], []
+    made, counted = norms.pre_schwarzian_field, norms._sweep
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return counted(*args, **kwargs)
+    def tagged(f):
+        p_fields.append(made(f))
+        return p_fields[-1]
 
-    monkeypatch.setattr(fixtures, "pre_schwarzian_norm", counting)
+    def counting(fields, *args, **kwargs):
+        if any(fld is p for fld, _ in fields for p in p_fields):
+            calls.append(fields)
+        return counted(fields, *args, **kwargs)
+
+    monkeypatch.setattr(norms, "pre_schwarzian_field", tagged)
+    monkeypatch.setattr(norms, "_sweep", counting)
     computed = {r.metric: r.computed for r in run_fixture(name, grid=RUN_GRID).rows}
     assert computed[gap] == abs(computed[a] - computed[b])
     assert len(calls) == 1  # the gap reuses the norm row instead of recomputing it

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from logharm import expr, fixtures, norms
 from logharm.criteria import NORM_TOL
 from logharm.errors import AllSamplesFailed
 from logharm.expr import Mul, parse
@@ -27,13 +29,18 @@ from logharm.norms import (
     _ZOOM_POINTS,
     _ZOOM_ROUNDS,
     GridSpec,
+    Sup,
     _radii,
+    bloch_log_sup,
     bloch_norm_log,
     level_walk,
     pre_schwarzian_norm,
+    pre_schwarzian_sup,
     radial_profile,
     schwarzian_norm,
+    schwarzian_sup,
     weighted_sup,
+    weighted_sups,
 )
 
 from conftest import build, one_call_reference
@@ -342,3 +349,151 @@ def test_radial_profile_constant_field():
     assert not prof.monotone_tail
     assert prof.boundary_estimate is None
     assert max(w for _, w in prof.rows) == 1.0
+
+
+# -- several norms from one sweep ---------------------------------------
+
+
+def _est_key(est):
+    return (est.value, est.argmax, est.samples, est.failed_samples, est.flagged,
+            est.refine_values, est.diverged)
+
+
+def _shared_matches_separate(sups, grid):
+    shared = weighted_sups(sups, grid)
+    assert [_est_key(e) for e in shared] == [
+        _est_key(weighted_sups([s], grid)[0]) for s in sups
+    ]
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_a_fixtures_norms_from_one_sweep_are_its_separate_norms(name):
+    # the norms run_fixture reads together, in its order; a fixture without
+    # catalog norms gets P_f, S_f, the Bloch norm and the product's norm
+    fx = load_fixture(name)
+    names = list(dict.fromkeys(n for c in fx.checks for n in fixtures._norms_read(c["metric"])))
+    f = fx.map
+    product = Sup(analytic_pre_schwarzian_field(Mul(f.h, f.g)), 1)
+    sups = [fixtures._SUPS[n](fx) for n in names] or [
+        pre_schwarzian_sup(f), schwarzian_sup(f), bloch_log_sup(f.g), product
+    ]
+    _shared_matches_separate(sups, GridSpec(radial_levels=30, angular_count=64, refine_rounds=2))
+
+
+@pytest.mark.parametrize("name", ["koebe", "gap-one-sharp", "vanishing-simple", "starlike-vanishing"])
+def test_norms_of_mixed_orders_from_one_sweep_are_the_separate_norms(name):
+    # S_f reads h and g at order 3 and the others at order 2 or 1, listed
+    # before and after them.  vanishing-simple is m = 1, beta = 0, so c = 0;
+    # starlike-vanishing has c = 4, so its P_f and S_f walk the punctured
+    # annulus on a masked copy of each block and share no jet with the
+    # Bloch and product norms, which walk the whole disk
+    f = build(name)
+    pre, schw = pre_schwarzian_sup(f), schwarzian_sup(f)
+    bloch = bloch_log_sup(f.g)
+    product = Sup(analytic_pre_schwarzian_field(Mul(f.h, f.g)), 1)
+    grid = GridSpec(radial_levels=30, angular_count=64, refine_rounds=2)
+    for sups in ([schw, pre, bloch], [pre, bloch, schw], [product, schw, pre, product]):
+        _shared_matches_separate(sups, grid)
+
+
+def test_each_block_evaluates_h_once_at_the_highest_order_read(monkeypatch):
+    f = build("koebe")
+    grid = GridSpec(radial_levels=30, angular_count=512, refine_rounds=0)
+    blocks = 1 + math.ceil((grid.radial_levels - 1) / 4)  # the origin, then 4 levels each
+    orders = []
+    evaluate = expr._eval
+
+    def counting(e, zjet, share=True):
+        if e is f.h and not share:  # h evaluated for the held block
+            orders.append(zjet.order)
+        return evaluate(e, zjet, share)
+
+    monkeypatch.setattr(expr, "_eval", counting)
+    sups = [schwarzian_sup(f), pre_schwarzian_sup(f), bloch_log_sup(f.g)]
+    weighted_sups(sups, grid)
+    assert orders == [3] * blocks
+    orders.clear()
+    # read at order 2 first, h is evaluated again on the first block only
+    weighted_sups(sups[1:] + sups[:1], grid)
+    assert orders == [2] + [3] * blocks
+
+
+def test_a_field_that_fails_everywhere_fails_the_shared_sweep():
+    def bad(z):
+        return np.full(np.shape(z), np.nan + 1j * np.nan)
+
+    f = build("gap-five-sharp")
+    grid = GridSpec(radial_levels=20, angular_count=32, refine_rounds=1)
+    sups = [pre_schwarzian_sup(f), Sup(bad, 1), bloch_log_sup(f.g)]
+    errors = []
+    for s in sups:
+        try:
+            weighted_sups([s], grid)
+        except AllSamplesFailed as exc:
+            errors.append(exc)
+    (separate,) = errors
+    with pytest.raises(AllSamplesFailed) as shared:
+        weighted_sups(sups, grid)
+    assert str(shared.value) == str(separate)
+
+
+# -- the refine skips a zoom whose inputs did not move -------------------
+
+ZOOM_MAX = norms._zoom_max
+
+
+def _reference_refine(field, p, grid, inner):
+    """The refine loop with every zoom run: (value, argmax, refine_values)."""
+    walk = level_walk(lambda r, zs: np.abs(field(zs)) * ((1.0 - r * r) ** p), grid, inner)
+    radii, level, best, th = walk.radii, walk.level, walk.value, walk.theta
+    r_best = float(radii[level])
+    trace = [best]
+    for _ in range(grid.refine_rounds):
+        lo = float(radii[level - 1]) if level > 0 else inner
+        hi = float(radii[level + 1]) if level + 1 < len(radii) else grid.r_max
+        r_new, v = ZOOM_MAX(lambda r: norms._weighted(field, p, r, th)[1], lo, hi)
+        if v > best:
+            best, r_best = v, r_new
+            while level + 1 < len(radii) and radii[level + 1] < r_best:
+                level += 1
+            while level > 0 and radii[level] > r_best:
+                level -= 1
+        dtheta = 2.0 * math.pi / grid.angular_count
+        th_new, v = ZOOM_MAX(lambda t: norms._weighted(field, p, r_best, t)[1],
+                             th - dtheta, th + dtheta)
+        if v > best:
+            best, th = v, th_new
+        trace.append(best)
+    z, w = norms._weighted(field, p, r_best, th)
+    return max(float(w[0]), best), complex(z[0]), tuple(trace)
+
+
+def test_no_refine_repeats_its_previous_zoom(monkeypatch):
+    grid = dataclasses.replace(SMALL, refine_rounds=4)
+    zooms = []
+
+    def recording(fn, a, b):
+        # the r-zoom fixes theta by keyword, the theta-zoom fixes r
+        fld = fn.args[0]
+        if "theta" in fn.keywords:
+            zooms.append((fld, "r", (a, b, fn.keywords["theta"])))
+        else:
+            zooms.append((fld, "theta", (a, b, fn.args[2])))
+        return ZOOM_MAX(fn, a, b)
+
+    monkeypatch.setattr(norms, "_zoom_max", recording)
+    refines = 0
+    for name in fixture_names():
+        f = build(name)
+        inner = _INNER_RADIUS if origin_exponent(f) != 0 else 0.0
+        for sup in (pre_schwarzian_sup(f), schwarzian_sup(f)):
+            (est,) = weighted_sups([sup], grid)
+            refines += 1
+            want = _reference_refine(sup.field, sup.weight_power, grid, inner)
+            assert (est.value, est.argmax, est.refine_values) == want, name
+            assert len(est.refine_values) == grid.refine_rounds + 1
+    last = {}
+    for fld, direction, inputs in zooms:
+        assert last.get((id(fld), direction)) != inputs
+        last[id(fld), direction] = inputs
+    assert len(zooms) < 2 * grid.refine_rounds * refines
