@@ -16,7 +16,8 @@ Powers use the principal branch (cut on the negative real axis,
 log(1) = 0) via a^b = exp(b log a), except that an exact-integer constant
 exponent is applied by repeated multiplication, so ``e^1`` reproduces the
 jet of ``e`` bit for bit and integer powers of negative reals do not
-wobble through the branch cut.
+wobble through the branch cut.  A constant exponent is evaluated on the
+first evaluation of its power and kept on that ``Pow`` node.
 
 Note the grammar gives unary minus the tighter binding: ``-z^2`` is
 ``(-z)^2``.  Parenthesize exponents when in doubt; the printer does.
@@ -24,7 +25,7 @@ Note the grammar gives unary minus the tighter binding: ``-z^2`` is
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import PoleEncountered
@@ -77,6 +78,9 @@ class Div:
 class Pow:
     base: "Expr"
     exponent: "Expr"
+    # the exponent's value once evaluated if it does not read z, else
+    # _VARIES; a cache, so it is neither compared nor printed
+    _folded: object = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -354,32 +358,54 @@ def _eval(e: Expr, zjet: Jet, share: bool = True) -> Jet:
     ``share=False`` evaluates e itself (its subexpressions may be read)."""
     held = _held
     if share and held is not None and zjet.coeffs[0] is held.block and id(e) in held.orders:
-        return held.read(e, zjet.order)
-    if isinstance(e, Lit):
-        return Jet.constant(e.value, zjet.order)
-    if isinstance(e, Var):
-        return zjet
-    if isinstance(e, Neg):
-        return -_eval(e.arg, zjet)
-    if isinstance(e, Add):
-        return _eval(e.lhs, zjet) + _eval(e.rhs, zjet)
-    if isinstance(e, Sub):
-        return _eval(e.lhs, zjet) - _eval(e.rhs, zjet)
-    if isinstance(e, Mul):
-        return _eval(e.lhs, zjet) * _eval(e.rhs, zjet)
-    if isinstance(e, Div):
-        return _eval(e.lhs, zjet) / _eval(e.rhs, zjet)
-    if isinstance(e, Pow):
-        base = _eval(e.base, zjet)
-        if contains_var(e.exponent):
-            return base ** _eval(e.exponent, zjet)
-        # constant exponent: fold it so integer powers stay exact
+        return held.read(e, len(zjet.coeffs) - 1)
+    rule = _RULES.get(type(e))
+    if rule is None:
+        raise TypeError(f"not an expression node: {e!r}")
+    return rule(e, zjet)
+
+
+_VARIES = object()  # a Pow's exponent reads z
+
+
+def _folded_exponent(e: Pow):
+    """e's constant exponent, evaluated on its first use and kept on the node,
+    or _VARIES.  An exponent that fails is not kept, so it fails every time."""
+    if contains_var(e.exponent):
+        w = _VARIES
+    else:
         w = _eval(e.exponent, Jet.constant(0j, 0)).d0
-        return base ** w
-    if isinstance(e, Call):
-        arg = _eval(e.arg, zjet)
-        return arg.exp() if e.func == "exp" else arg.log()
-    raise TypeError(f"not an expression node: {e!r}")
+    object.__setattr__(e, "_folded", w)
+    return w
+
+
+def _eval_pow(e: Pow, zjet: Jet) -> Jet:
+    base = _eval(e.base, zjet)
+    w = e._folded
+    if w is None:
+        w = _folded_exponent(e)
+    if w is _VARIES:
+        return base ** _eval(e.exponent, zjet)
+    # a constant exponent is a number, so integer powers stay exact
+    return base ** w
+
+
+def _eval_call(e: Call, zjet: Jet) -> Jet:
+    arg = _eval(e.arg, zjet)
+    return arg.exp() if e.func == "exp" else arg.log()
+
+
+_RULES = {
+    Lit: lambda e, zjet: Jet.constant(e.value, len(zjet.coeffs) - 1),
+    Var: lambda e, zjet: zjet,
+    Neg: lambda e, zjet: -_eval(e.arg, zjet),
+    Add: lambda e, zjet: _eval(e.lhs, zjet) + _eval(e.rhs, zjet),
+    Sub: lambda e, zjet: _eval(e.lhs, zjet) - _eval(e.rhs, zjet),
+    Mul: lambda e, zjet: _eval(e.lhs, zjet) * _eval(e.rhs, zjet),
+    Div: lambda e, zjet: _eval(e.lhs, zjet) / _eval(e.rhs, zjet),
+    Pow: _eval_pow,
+    Call: _eval_call,
+}
 
 
 def eval_jet(e: Expr, p, order: int = 3) -> Jet:

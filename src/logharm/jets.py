@@ -12,8 +12,12 @@ higher order, and a caller evaluates at the lowest order its formula reads
 (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 
 Coefficients may be Python complex scalars or numpy arrays; mixing the two
-broadcasts elementwise, which is what the grid-sweep code relies on.  On
-the array path two things keep the numpy work to what can be nonzero:
+broadcasts elementwise, which is what the grid-sweep code relies on.  A jet
+whose value coefficient is a scalar takes the scalar path: products,
+quotients, ``exp`` and ``log`` are written out by order, with every term
+computed in the order the array loops add them, so the scalar path costs
+little more than its arithmetic.  On the array path two things keep the
+numpy work to what can be nonzero:
 
 - a product term that is a scalar zero times an array (the zero tail of a
   constant or of the jet of z) is left out rather than computed as an
@@ -32,14 +36,16 @@ raise on a z-independent coefficient as a field that is NaN everywhere.
 """
 from __future__ import annotations
 
+from operator import add as _add, neg as _neg, sub as _sub
+
 import numpy as np
 
 from .errors import PoleEncountered
 
 MAX_ORDER = 3
 
-# k! for k = 0..3, used to convert between Taylor coefficients and derivatives
-_FACTORIAL = (1.0, 1.0, 2.0, 6.0)
+# the zero coefficients of a constant jet of order k, k = 0..3
+_ZERO_TAILS = tuple((0j,) * k for k in range(MAX_ORDER + 1))
 
 _NUMERIC = (int, float, complex)
 
@@ -107,23 +113,27 @@ class Jet:
 
     @classmethod
     def constant(cls, value, order: int = MAX_ORDER) -> "Jet":
+        if 0 <= order <= MAX_ORDER:
+            return _jet((value,) + _ZERO_TAILS[order])
         return cls((value,) + (0j,) * order)
 
     @classmethod
     def variable(cls, point, order: int = MAX_ORDER) -> "Jet":
         """The jet of the identity z -> z at ``point``."""
         if order == 0:
-            return cls((point,))
+            return _jet((point,))
+        if 1 <= order <= MAX_ORDER:
+            return _jet((point, 1.0 + 0j) + _ZERO_TAILS[order - 1])
         return cls((point, 1.0 + 0j) + (0j,) * (order - 1))
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def _deriv(self, k: int):
-        if self.order < k:
-            raise ValueError(f"jet of order {self.order} has no derivative {k}")
-        return _scaled(_FACTORIAL[k], self.coeffs[k])
+    def _no_deriv(self, k: int):
+        raise ValueError(f"jet of order {self.order} has no derivative {k}")
+
+    # d_k = k! a_k; a_1 itself for d1, as k! = 1 there
 
     @property
     def d0(self):
@@ -131,29 +141,45 @@ class Jet:
 
     @property
     def d1(self):
-        return self._deriv(1)
+        c = self.coeffs
+        if len(c) < 2:
+            self._no_deriv(1)
+        return c[1]
 
     @property
     def d2(self):
-        return self._deriv(2)
+        c = self.coeffs
+        if len(c) < 3:
+            self._no_deriv(2)
+        return 2.0 * c[2]
 
     @property
     def d3(self):
-        return self._deriv(3)
+        c = self.coeffs
+        if len(c) < 4:
+            self._no_deriv(3)
+        return 6.0 * c[3]
 
     def truncate(self, order: int) -> "Jet":
-        if order >= self.order:
+        if order >= len(self.coeffs) - 1:
             return self
         return Jet(self.coeffs[: order + 1])
 
     def derivative(self) -> "Jet":
         """Jet of f' at the same basepoint, one order lower."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 jet")
         a = self.coeffs
-        return Jet(tuple(_scaled(k, a[k]) for k in range(1, len(a))))
+        n = len(a)
+        if n == 1:
+            raise ValueError("cannot differentiate an order-0 jet")
+        if n == 2:
+            return _jet((a[1],))
+        if n == 3:
+            return _jet((a[1], 2 * a[2]))
+        return _jet((a[1], 2 * a[2], 3 * a[3]))
 
     # -- arithmetic -------------------------------------------------------
+    # Each operation on scalars is written out by order; every term is
+    # computed, in the order and with the factors of the array loops below.
 
     def _coerce(self, other) -> "Jet | None":
         if isinstance(other, Jet):
@@ -161,27 +187,25 @@ class Jet:
         if isinstance(other, _NUMERIC) or isinstance(
             other, (np.generic, np.ndarray)
         ):
-            return Jet.constant(other, self.order)
+            return _jet((other,) + _ZERO_TAILS[len(self.coeffs) - 1])
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = min(self.order, o.order)
-        return Jet(tuple(a + b for a, b in zip(self.coeffs[: n + 1], o.coeffs[: n + 1])))
+        return _jet(tuple(map(_add, self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(tuple(-c for c in self.coeffs))
+        return _jet(tuple(map(_neg, self.coeffs)))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = min(self.order, o.order)
-        return Jet(tuple(a - b for a, b in zip(self.coeffs[: n + 1], o.coeffs[: n + 1])))
+        return _jet(tuple(map(_sub, self.coeffs, o.coeffs)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -193,19 +217,24 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = min(self.order, o.order)
         a, b = self.coeffs, o.coeffs
-        arrays = type(a[0]) is np.ndarray or type(b[0]) is np.ndarray
-        out = []
-        for k in range(n + 1):
-            acc = None
-            for i in range(k + 1):
-                if arrays and _skips(a[i], b[k - i]):
-                    continue
-                term = a[i] * b[k - i]
-                acc = term if acc is None else acc + term
-            out.append(0j if acc is None else acc)
-        return Jet(out)
+        a0, b0 = a[0], b[0]
+        if type(a0) is np.ndarray or type(b0) is np.ndarray:
+            return _jet(_array_product(a, b))
+        n = min(len(a), len(b))
+        c0 = a0 * b0
+        if n == 1:
+            return _jet((c0,))
+        a1, b1 = a[1], b[1]
+        c1 = a0 * b1 + a1 * b0
+        if n == 2:
+            return _jet((c0, c1))
+        a2, b2 = a[2], b[2]
+        c2 = a0 * b2 + a1 * b1 + a2 * b0
+        if n == 3:
+            return _jet((c0, c1, c2))
+        a3, b3 = a[3], b[3]
+        return _jet((c0, c1, c2, a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0))
 
     __rmul__ = __mul__
 
@@ -213,19 +242,25 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = min(self.order, o.order)
         a, b = self.coeffs, o.coeffs
-        if _is_scalar_zero(b[0]):
+        a0, b0 = a[0], b[0]
+        if _is_scalar_zero(b0):
             raise PoleEncountered("division by zero")
-        arrays = type(a[0]) is np.ndarray or type(b[0]) is np.ndarray
-        out = [a[0] / b[0]]
-        for k in range(1, n + 1):
-            acc = a[k]
-            for i in range(k):
-                if not (arrays and _skips(out[i], b[k - i])):
-                    acc = acc - out[i] * b[k - i]
-            out.append(acc / b[0])
-        return Jet(out)
+        if type(a0) is np.ndarray or type(b0) is np.ndarray:
+            return _jet(_array_quotient(a, b))
+        n = min(len(a), len(b))
+        c0 = a0 / b0
+        if n == 1:
+            return _jet((c0,))
+        b1 = b[1]
+        c1 = (a[1] - c0 * b1) / b0
+        if n == 2:
+            return _jet((c0, c1))
+        b2 = b[2]
+        c2 = (a[2] - c0 * b2 - c1 * b1) / b0
+        if n == 3:
+            return _jet((c0, c1, c2))
+        return _jet((c0, c1, c2, (a[3] - c0 * b[3] - c1 * b2 - c2 * b1) / b0))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -235,32 +270,44 @@ class Jet:
 
     def exp(self) -> "Jet":
         a = self.coeffs
-        arrays = type(a[0]) is np.ndarray
-        out = [np.exp(a[0])]
-        for k in range(1, self.order + 1):
-            acc = None
-            for j in range(1, k + 1):
-                if arrays and _skips(a[j], out[k - j]):
-                    continue
-                term = _scaled(j, a[j]) * out[k - j]
-                acc = term if acc is None else acc + term
-            out.append(0j if acc is None else acc / k)
-        return Jet(out)
+        a0 = a[0]
+        if type(a0) is np.ndarray:
+            return _jet(_array_exp(a))
+        e0 = np.exp(a0)
+        n = len(a)
+        if n == 1:
+            return _jet((e0,))
+        a1 = a[1]
+        e1 = a1 * e0 / 1  # x / 1 is not x where a part of x is infinite
+        if n == 2:
+            return _jet((e0, e1))
+        a2 = a[2]
+        e2 = (a1 * e1 + 2 * a2 * e0) / 2
+        if n == 3:
+            return _jet((e0, e1, e2))
+        return _jet((e0, e1, e2, (a1 * e2 + 2 * a2 * e1 + 3 * a[3] * e0) / 3))
 
     def log(self) -> "Jet":
         """Principal-branch logarithm (cut on the negative real axis)."""
         a = self.coeffs
-        if _is_scalar_zero(a[0]):
+        a0 = a[0]
+        if _is_scalar_zero(a0):
             raise PoleEncountered("log of zero")
-        arrays = type(a[0]) is np.ndarray
-        out = [_log(a[0])]
-        for k in range(1, self.order + 1):
-            acc = _scaled(k, a[k])
-            for j in range(1, k):
-                if not (arrays and _skips(out[j], a[k - j])):
-                    acc = acc - _scaled(j, out[j]) * a[k - j]
-            out.append(acc / _scaled(k, a[0]))
-        return Jet(out)
+        if type(a0) is np.ndarray:
+            return _jet(_array_log(a))
+        l0 = np.log(a0)
+        n = len(a)
+        if n == 1:
+            return _jet((l0,))
+        a1 = a[1]
+        l1 = a1 / a0
+        if n == 2:
+            return _jet((l0, l1))
+        a2 = a[2]
+        l2 = (2 * a2 - l1 * a1) / (2 * a0)
+        if n == 3:
+            return _jet((l0, l1, l2))
+        return _jet((l0, l1, l2, (3 * a[3] - l1 * a2 - 2 * l2 * a1) / (3 * a0)))
 
     def _int_pow(self, n: int) -> "Jet":
         if n == 0:
@@ -287,6 +334,70 @@ class Jet:
 
     def __repr__(self) -> str:
         return f"Jet({', '.join(repr(c) for c in self.coeffs)})"
+
+
+_new_jet = object.__new__
+
+
+def _jet(coeffs: tuple) -> Jet:
+    """A jet of a coefficient tuple that jet arithmetic built: no copy and no
+    order check, which ``Jet(...)`` makes on every other input."""
+    j = _new_jet(Jet)
+    j.coeffs = coeffs
+    return j
+
+
+# -- array coefficients -----------------------------------------------------
+# The loops the scalar branches above write out, with the structural-zero
+# skip (`_skips`) that only arrays take.
+
+
+def _array_product(a: tuple, b: tuple) -> tuple:
+    out = []
+    for k in range(min(len(a), len(b))):
+        acc = None
+        for i in range(k + 1):
+            if _skips(a[i], b[k - i]):
+                continue
+            term = a[i] * b[k - i]
+            acc = term if acc is None else acc + term
+        out.append(0j if acc is None else acc)
+    return tuple(out)
+
+
+def _array_quotient(a: tuple, b: tuple) -> tuple:
+    out = [a[0] / b[0]]
+    for k in range(1, min(len(a), len(b))):
+        acc = a[k]
+        for i in range(k):
+            if not _skips(out[i], b[k - i]):
+                acc = acc - out[i] * b[k - i]
+        out.append(acc / b[0])
+    return tuple(out)
+
+
+def _array_exp(a: tuple) -> tuple:
+    out = [np.exp(a[0])]
+    for k in range(1, len(a)):
+        acc = None
+        for j in range(1, k + 1):
+            if _skips(a[j], out[k - j]):
+                continue
+            term = _scaled(j, a[j]) * out[k - j]
+            acc = term if acc is None else acc + term
+        out.append(0j if acc is None else acc / k)
+    return tuple(out)
+
+
+def _array_log(a: tuple) -> tuple:
+    out = [_log(a[0])]
+    for k in range(1, len(a)):
+        acc = _scaled(k, a[k])
+        for j in range(1, k):
+            if not _skips(out[j], a[k - j]):
+                acc = acc - _scaled(j, out[j]) * a[k - j]
+        out.append(acc / _scaled(k, a[0]))
+    return tuple(out)
 
 
 def _origin_coeff(w, k: int):

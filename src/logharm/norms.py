@@ -51,6 +51,7 @@ _BLOCK_POINTS = 2048
 # around the best one, so _ZOOM_ROUNDS rounds shrink a bracket by ~31.5^5
 _ZOOM_POINTS = 64
 _ZOOM_ROUNDS = 5
+_ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
 
 # inner radius of the punctured annulus swept when the origin is singular,
 # and by the checks that never sample the origin itself
@@ -114,6 +115,16 @@ def _weighted_values(field, p: int, r, theta):
     return _weighted(field, p, r, theta)[1]
 
 
+def _zoom_grid(a: float, b: float) -> np.ndarray:
+    """``np.linspace(a, b, _ZOOM_POINTS)`` bit for bit, at a fifth of its
+    cost: the same step, products and sum.  linspace differs only for a
+    nonzero width whose step underflows to zero, far below any bracket."""
+    xs = _ZOOM_STEPS * ((b - a) / (_ZOOM_POINTS - 1))
+    xs += a
+    xs[-1] = b
+    return xs
+
+
 def _zoom_max(fn, a: float, b: float):
     """(x, fn(x)) at the first best point found in [a, b].
 
@@ -123,7 +134,7 @@ def _zoom_max(fn, a: float, b: float):
     """
     best = (a, -math.inf)
     for _ in range(_ZOOM_ROUNDS):
-        xs = np.linspace(a, b, _ZOOM_POINTS)
+        xs = _zoom_grid(a, b)
         ys = fn(xs)
         j = int(np.argmax(ys))
         if ys[j] > best[1]:

@@ -210,6 +210,43 @@ def test_power_with_z_dependent_exponent():
         assert abs(a - b) <= 1e-12 * (1 + abs(b))
 
 
+def test_a_z_dependent_exponent_is_evaluated_at_each_point():
+    e = parse("(1+z)^z")
+    for p in (0.3 - 0.2j, 0.5 + 0j, 0.3 - 0.2j, -0.25 + 0.1j):
+        want = eval_jet(parse("exp(z*log(1+z))"), p)
+        for a, b in zip(eval_jet(e, p).coeffs, want.coeffs):
+            assert abs(a - b) <= 1e-12 * (1 + abs(b)), p
+
+
+def test_folding_a_constant_exponent_changes_no_comparison_or_text():
+    text = "(1-z)*(1-0.6*z)^(-8/3)+z^(2^(1/2))"
+    e, twin = parse(text), parse(text)
+    before = (repr(e), hash(e), unparse(e))
+    first = eval_jet(e, 0.3 + 0.1j).coeffs
+    assert e.lhs.rhs._folded is not None and twin.lhs.rhs._folded is None
+    assert (repr(e), hash(e), unparse(e)) == before == (repr(twin), hash(twin), unparse(twin))
+    assert e == twin and parse(unparse(e)) == e
+    assert eval_jet(e, 0.3 + 0.1j).coeffs == first == eval_jet(twin, 0.3 + 0.1j).coeffs
+
+
+def test_a_freed_tree_never_lends_its_exponent():
+    # each tree is freed before the next is parsed, so node ids are reused
+    ids = []
+    for k in range(1, 300):
+        e = parse(f"(1+z)^({k}/7)")
+        ids.append(id(e))
+        assert eval_value(e, 0.3 + 0j) == pytest.approx(1.3 ** (k / 7), rel=1e-13), k
+        del e
+    assert len(set(ids)) < len(ids)
+
+
+def test_a_failing_constant_exponent_fails_every_time():
+    e = parse("z^(1/0)")
+    for _ in range(2):
+        with pytest.raises(PoleEncountered):
+            eval_jet(e, 0.5 + 0j)
+
+
 def test_pole_carries_point():
     with pytest.raises(PoleEncountered) as exc:
         eval_jet(parse("1/(1-z)"), 1 + 0j)

@@ -12,6 +12,7 @@ from logharm.expr import eval_jet
 from logharm.fixtures import fixture_names, load_fixture
 from logharm.jets import Jet, zpow_jet
 from logharm.maps import LogHarmonicMap, origin_exponent
+from reference_jets import LeanRefJet, RefJet, use_reference_jets
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-6
@@ -220,15 +221,25 @@ def _catalog_fields():
             yield f"hg:{name}", maps.hg_epsilon_field(f, eps)
 
 
+def _fields_on(jet_class, monkeypatch, points) -> dict:
+    """Every catalog field at points, with the package computing on jet_class;
+    the maps are parsed and built while it does."""
+    use_reference_jets(monkeypatch, jet_class)
+    try:
+        assert type(eval_jet(_FACTORS["koebe:h"], 0.5j, 3)) is jet_class
+        return {label: field(points) for label, field in _catalog_fields()}
+    finally:
+        monkeypatch.undo()
+
+
 def test_skipping_structural_zeros_keeps_every_field(monkeypatch):
-    # the reference computes every product term, zero tails included
-    skipped = {label: field(_BLOCK) for label, field in _catalog_fields()}
-    monkeypatch.setattr(jets, "_skips", lambda x, y: False)
+    # the textbook reference computes every product term, zero tails included
+    want = _fields_on(RefJet, monkeypatch, _BLOCK)
     for label, field in _catalog_fields():
-        want, got = field(_BLOCK), skipped[label]
-        assert np.array_equal(np.isnan(got), np.isnan(want)), label
-        ok = ~np.isnan(want)
-        assert np.array_equal(np.abs(got[ok]), np.abs(want[ok])), label
+        got = field(_BLOCK)
+        assert np.array_equal(np.isnan(got), np.isnan(want[label])), label
+        ok = ~np.isnan(want[label])
+        assert np.array_equal(np.abs(got[ok]), np.abs(want[label][ok])), label
 
 
 def _same_bits_or_both_nan(got, want):
@@ -263,24 +274,126 @@ _GRID = (norms._radii(0.0, 1 - 1e-6, 97)[:, None]
          * np.exp(2j * np.pi * np.arange(256) / 256)).ravel()
 
 
+class _ZeroSkippingRefJet(RefJet):
+    """The textbook reference with only the structural-zero skip."""
+
+    skip_zero_terms = True
+
+
 def test_skipping_unit_factors_and_negations_keeps_every_field(monkeypatch):
     # the reference multiplies by every k, 1 included, and subtracts by
     # adding the negation
-    new = {label: field(_GRID) for label, field in _catalog_fields()}
-    monkeypatch.setattr(jets, "_scaled", lambda k, x: k * x)
-    monkeypatch.setattr(Jet, "__sub__", lambda self, other: self + (-self._coerce(other)))
+    want = _fields_on(_ZeroSkippingRefJet, monkeypatch, _GRID)
     for label, field in _catalog_fields():
-        want, got = field(_GRID), new[label]
-        nan = np.isnan(want)
+        got = field(_GRID)
+        nan = np.isnan(want[label])
         assert np.array_equal(np.isnan(got), nan), label
-        assert got[~nan].tobytes() == want[~nan].tobytes(), label
+        assert got[~nan].tobytes() == want[label][~nan].tobytes(), label
+
+
+def _same_jets(got, want) -> bool:
+    """Same coefficient types, and the same bits with NaNs compared by position."""
+    return len(got.coeffs) == len(want.coeffs) and all(
+        type(g) is type(w)
+        and _same_bits_or_both_nan(np.atleast_1d(g).astype(complex), np.atleast_1d(w).astype(complex))
+        for g, w in zip(got.coeffs, want.coeffs)
+    )
 
 
 def test_scalar_products_keep_their_zero_tails():
-    # on the scalar path inf times a zero tail is still NaN
-    j = Jet.constant(complex(np.inf, 0)) * Jet.variable(0.5 + 0j)
-    assert np.isnan(j.coeffs[2])
-    assert jets._skips(np.zeros(2, complex), 0j) and not jets._skips(0j, 0j)
+    # on the scalar path inf times a zero tail is still NaN, as in the
+    # textbook reference; on arrays the zero-tail term is left out
+    inf = complex(np.inf, 0)
+    with np.errstate(all="ignore"):
+        for cls in (Jet, RefJet):
+            assert np.isnan((cls.constant(inf) * cls.variable(0.5 + 0j)).coeffs[2])
+        for op in (lambda a, b: a * b, lambda a, b: b * a, lambda a, b: b / a):
+            got = op(Jet.constant(inf), Jet.variable(0.5 + 0j))
+            assert _same_jets(got, op(RefJet.constant(inf), RefJet.variable(0.5 + 0j)))
+        arr = Jet.constant(np.array([inf])) * Jet.variable(0.5 + 0j)
+        lean = LeanRefJet.constant(np.array([inf])) * LeanRefJet.variable(0.5 + 0j)
+    assert arr.coeffs[2] == 0 and _same_jets(arr, lean)
+
+
+# every +-0.0, +-inf and NaN in each part, and a few ordinary values
+_PARTS = (0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0, 0.3, 1e300)
+_VALUES = [complex(x, y) for x in _PARTS for y in _PARTS]
+
+
+def _random_coeffs(rng, kind: str, special: float) -> tuple:
+    """Coefficients of a jet of random order: all scalars, an array value
+    coefficient, or a scalar value over array tails.  A scalar is often 0j;
+    any other entry is a special value with probability ``special``, else a
+    random one, whose sums round differently when their terms are reordered."""
+    def entry():
+        if rng.uniform() < special:
+            return _VALUES[rng.integers(0, len(_VALUES))]
+        return complex(*rng.standard_normal(2))
+
+    def array():
+        return np.array([entry() for _ in range(6)])
+
+    def scalar():
+        return 0j if rng.uniform() < 0.2 else entry()
+
+    order = int(rng.integers(0, 4))
+    value = array() if kind == "array" else scalar()
+    tail = [array() if kind != "scalar" and rng.uniform() < 0.6 else scalar()
+            for _ in range(order)]
+    return (value, *tail)
+
+
+_JET_OPS = {
+    "a + b": lambda a, b: a + b,
+    "a - b": lambda a, b: a - b,
+    "a * b": lambda a, b: a * b,
+    "a / b": lambda a, b: a / b,
+    "-a": lambda a, b: -a,
+    "a + 2.5j": lambda a, b: a + 2.5j,
+    "1.5 - a": lambda a, b: 1.5 - a,
+    "a - 0.25": lambda a, b: a - 0.25,
+    "2 * a": lambda a, b: 2 * a,
+    "a * (-0.5+1j)": lambda a, b: a * (-0.5 + 1j),
+    "1j / a": lambda a, b: 1j / a,
+    "a / 4": lambda a, b: a / 4,
+    "exp(a)": lambda a, b: a.exp(),
+    "log(a)": lambda a, b: a.log(),
+    **{f"a ** {n}": (lambda n: lambda a, b: a ** n)(n) for n in (-2, -1, 0, 1, 2, 3, 3.0)},
+    "a ** 0.5": lambda a, b: a ** 0.5,
+    "a ** (1/3+0.2j)": lambda a, b: a ** (1 / 3 + 0.2j),
+    "a ** b": lambda a, b: a ** b,
+    "a'": lambda a, b: a.derivative(),
+    **{f"truncate {k}": (lambda k: lambda a, b: a.truncate(k))(k) for k in range(4)},
+    **{f"d{k}": (lambda k: lambda a, b: type(a)((getattr(a, f"d{k}"),)))(k) for k in range(4)},
+}
+
+
+def _outcome(op, cls, a, b):
+    with np.errstate(all="ignore"):
+        try:
+            return op(cls(a), cls(b))
+        except (PoleEncountered, ValueError) as exc:
+            return type(exc)
+
+
+def test_jet_arithmetic_matches_the_reference_bit_for_bit():
+    # orders 0-3 on either side, scalar, array and mixed coefficients, and
+    # every special value; Jet takes the economies LeanRefJet takes
+    rng = np.random.default_rng(2024)
+    kinds = ("scalar", "array", "mixed")
+    checked = 0
+    for trial in range(270):
+        special = 0.5 if trial % 2 else 0.05
+        a = _random_coeffs(rng, kinds[trial % 3], special)
+        b = _random_coeffs(rng, kinds[trial // 3 % 3], special)
+        for label, op in _JET_OPS.items():
+            got, want = _outcome(op, Jet, a, b), _outcome(op, LeanRefJet, a, b)
+            if isinstance(want, type):
+                assert got is want, (label, a, b)
+            else:
+                assert _same_jets(got, want), (label, a, b)
+                checked += 1
+    assert checked > 0.8 * 270 * len(_JET_OPS)
 
 
 def _ulps_from_numpy(a):

@@ -497,3 +497,18 @@ def test_no_refine_repeats_its_previous_zoom(monkeypatch):
         assert last.get((id(fld), direction)) != inputs
         last[id(fld), direction] = inputs
     assert len(zooms) < 2 * grid.refine_rounds * refines
+
+
+def test_zoom_grid_is_linspace_bit_for_bit():
+    # brackets as the refine makes them: radial ones in [0, 1), angular ones
+    # around [0, 2 pi), shrinking to widths near an ulp, and empty ones
+    rng = np.random.default_rng(11)
+    brackets = [(0.0, 0.0), (0.3, 0.3), (1.0, 0.0), (-0.1, 0.1), (0.0, 2 * math.pi),
+                (0.999999, math.nextafter(0.999999, 1.0)), (1e-300, 2e-300)]
+    for _ in range(5000):
+        a = rng.uniform(-1.0, 7.0)
+        width = 10.0 ** rng.uniform(-16.0, 1.0)
+        brackets += [(a, a + width), (a + width, a)]
+    for a, b in brackets:
+        got, want = norms._zoom_grid(a, b), np.linspace(a, b, _ZOOM_POINTS)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (a, b)
