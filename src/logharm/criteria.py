@@ -21,8 +21,8 @@ from .expr import Div, Expr, Lit, Mul, Pow, Var, eval_jet
 from .maps import (
     LogHarmonicMap,
     _phi_logderiv,
-    _pre_kernel,
     _raw_local,
+    _sigma,
     analytic_pre_schwarzian_field,
     as_field,
     analytic_schwarzian_field,
@@ -146,7 +146,7 @@ def _a5_margin_field(f: LogHarmonicMap, eps: complex):
     def margin(z):
         omega, G, H = _raw_local(f, z, 0j, 2)  # m = 0, so c = 0
         w0, w1 = omega.d0, omega.d1
-        pf = _pre_kernel(w0, w1, _phi_logderiv(G, H))
+        pf = _phi_logderiv(G, H) - _sigma(w0, w1)
         lhs = (
             np.abs(z * pf)
             + one_minus * np.abs(z * (G.d1 / G.d0))

@@ -3,7 +3,9 @@
 Each catalog entry records a mapping, the metrics that pin it down, the
 expected numbers with tolerances, and a one-line derivation note per
 value.  `run_fixture` recomputes everything and reports expected vs
-computed row by row.
+computed row by row.  Before its first row it reads every norm the checks
+name from one sweep (`norms.weighted_sups`) and each gap from its two
+norms; every other metric is computed at its row.
 """
 from __future__ import annotations
 
@@ -114,14 +116,6 @@ def _eps(fx: Fixture) -> complex:
     return fx.eps
 
 
-def _gap(other: str):
-    """Each gap is the distance from the pre-Schwarzian norm to another catalog norm."""
-    return lambda fx, arg, grid, memo: abs(
-        _evaluate_metric(fx, "pre_schwarzian_norm", None, grid, memo)
-        - _evaluate_metric(fx, other, None, grid, memo)
-    )
-
-
 # the catalog norms: metric -> the sup it estimates on a fixture
 _SUPS = {
     "pre_schwarzian_norm": lambda fx: pre_schwarzian_sup(fx.map),
@@ -132,7 +126,7 @@ _SUPS = {
     "bloch_log_g": lambda fx: bloch_log_sup(fx.map.g),
     "schwarzian_norm": lambda fx: schwarzian_sup(fx.map),
 }
-# the norm each gap compares with the pre-Schwarzian norm
+# each gap is the distance from the pre-Schwarzian norm to this other norm
 _GAPS = {"norm_gap": "product_pre_schwarzian_norm", "eps_norm_gap": "member_pre_schwarzian_norm"}
 
 
@@ -140,20 +134,6 @@ def _norms_read(metric: str) -> tuple[str, ...]:
     if metric in _GAPS:
         return ("pre_schwarzian_norm", _GAPS[metric])
     return (metric,) if metric in _SUPS else ()
-
-
-def _norm(metric: str):
-    """A catalog norm.  The first one a run asks for reads every norm its
-    checks need from one sweep, in the order the checks need them, and
-    leaves the others in the memo."""
-
-    def value(fx, arg, grid, memo):
-        names = list(dict.fromkeys(n for c in fx.checks for n in _norms_read(c["metric"])))
-        ests = weighted_sups([_SUPS[n](fx) for n in names], grid)
-        memo.update(((n, None), est.value) for n, est in zip(names, ests))
-        return memo[metric, None]
-
-    return value
 
 
 def _at(op):
@@ -171,11 +151,9 @@ def _omega_deviation(fx: Fixture, *_) -> float:
     return float(np.max(np.abs(dilatation_field(fx.map)(_SAMPLES) - want)))
 
 
-# every catalog metric, keyed by its name in fixtures.json; an entry takes
-# (fixture, the check's arg, grid, the memo of this run)
+# every other catalog metric, keyed by its name in fixtures.json; an entry
+# takes (fixture, the check's arg, grid)
 _METRICS = {
-    **{metric: _norm(metric) for metric in _SUPS},
-    **{gap: _gap(other) for gap, other in _GAPS.items()},
     "pre_schwarzian_at": _at(pre_schwarzian),
     "schwarzian_at": _at(schwarzian),
     "dilatation_at": _at(dilatation),
@@ -184,25 +162,15 @@ _METRICS = {
     "dbar_pre_schwarzian_at": _at(dbar_pre_schwarzian),
     "dbar_pre_schwarzian_max": _max_over_samples(dbar_pre_schwarzian_field),
     "dbar_schwarzian_max": _max_over_samples(dbar_schwarzian_field),
-    "starlike_verdict": lambda fx, arg, grid, _: starlike_check(fx.map, grid).verdict,
-    "associated_starlike_verdict": lambda fx, arg, grid, _: associated_starlike(
+    "starlike_verdict": lambda fx, arg, grid: starlike_check(fx.map, grid).verdict,
+    "associated_starlike_verdict": lambda fx, arg, grid: associated_starlike(
         fx.map, grid
     )[1].verdict,
-    "schwarz_pick_verdict": lambda fx, arg, grid, _: schwarz_pick_check(
+    "schwarz_pick_verdict": lambda fx, arg, grid: schwarz_pick_check(
         _omega(fx), grid
     ).verdict,
     "omega_matches_closed_form": _omega_deviation,
 }
-
-
-def _evaluate_metric(fx: Fixture, metric: str, arg: complex | None, grid: GridSpec, memo: dict):
-    """Value of one catalog metric.  `memo` keeps every value of this run by
-    (metric, arg), so a norm shared by several checks is computed once."""
-    if metric not in _METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    if (metric, arg) not in memo:
-        memo[metric, arg] = _METRICS[metric](fx, arg, grid, memo)
-    return memo[metric, arg]
 
 
 def _compare(expected, computed, tol, relative: bool) -> bool:
@@ -219,17 +187,29 @@ def _compare(expected, computed, tol, relative: bool) -> bool:
 def run_fixture(name: str, grid: GridSpec | None = None) -> FixtureResult:
     fx = load_fixture(name)
     grid = grid or GridSpec(radial_levels=40, angular_count=512, refine_rounds=3)
+    # every norm the checks read comes from one sweep, in the order they need
+    # them, and every gap from its two norms, before the first row
+    names = list(dict.fromkeys(n for c in fx.checks for n in _norms_read(c["metric"])))
+    ests = weighted_sups([_SUPS[n](fx) for n in names], grid)
+    values = {n: est.value for n, est in zip(names, ests)}
+    for gap in {c["metric"] for c in fx.checks} & _GAPS.keys():
+        values[gap] = abs(values["pre_schwarzian_norm"] - values[_GAPS[gap]])
     rows = []
-    memo: dict = {}
     for check in fx.checks:
+        metric = check["metric"]
         arg = complex(*check["arg"]) if "arg" in check else None
-        computed = _evaluate_metric(fx, check["metric"], arg, grid, memo)
+        if metric in values:
+            computed = values[metric]
+        elif metric in _METRICS:
+            computed = _METRICS[metric](fx, arg, grid)
+        else:
+            raise ValueError(f"unknown metric {metric!r}")
         expected = check["expect"]
         tol = check.get("tol")
         relative = bool(check.get("rel", False))
         rows.append(
             CheckRow(
-                metric=check["metric"],
+                metric=metric,
                 arg=arg,
                 expected=expected,
                 computed=computed,

@@ -113,18 +113,18 @@ class Jet:
 
     @classmethod
     def constant(cls, value, order: int = MAX_ORDER) -> "Jet":
-        if 0 <= order <= MAX_ORDER:
-            return _jet((value,) + _ZERO_TAILS[order])
-        return cls((value,) + (0j,) * order)
+        if not 0 <= order <= MAX_ORDER:
+            raise ValueError(f"jet order must be 0..{MAX_ORDER}, got {order}")
+        return _jet((value,) + _ZERO_TAILS[order])
 
     @classmethod
     def variable(cls, point, order: int = MAX_ORDER) -> "Jet":
         """The jet of the identity z -> z at ``point``."""
         if order == 0:
             return _jet((point,))
-        if 1 <= order <= MAX_ORDER:
-            return _jet((point, 1.0 + 0j) + _ZERO_TAILS[order - 1])
-        return cls((point, 1.0 + 0j) + (0j,) * (order - 1))
+        if not 1 <= order <= MAX_ORDER:
+            raise ValueError(f"jet order must be 0..{MAX_ORDER}, got {order}")
+        return _jet((point, 1.0 + 0j) + _ZERO_TAILS[order - 1])
 
     @property
     def order(self) -> int:

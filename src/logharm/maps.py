@@ -171,9 +171,10 @@ def _raw_local(f: LogHarmonicMap, z, c: complex, order: int = 3):
 
 
 # -- closed forms ----------------------------------------------------------
-# The kernels below are shared by every operator.  Each operator's formula
-# `_<operator>(f, z)` is written once, further down: its field is
-# `as_field(partial(formula, f))` and its scalar operator `_at(formula, f, z)`.
+# The terms below are shared by several operators.  Each operator's formula
+# `_<operator>(f, z)` is written once, further down, with its closed form in
+# its docstring: its field is `as_field(partial(formula, f))` and its scalar
+# operator `_at(formula, f, z)`.
 
 
 def _phi_logderiv(G: Jet, H: Jet):
@@ -195,46 +196,8 @@ def _phi_schwarzian(G: Jet, H: Jet):
 
 
 def _sigma(w0, w1):
+    """conj(w) w' / (1 - |w|^2), the dilatation's term of P_f."""
     return w0.conjugate() * w1 / (1 - abs(w0) ** 2)
-
-
-def _pre_kernel(w0, w1, p_phi):
-    """P_f = G'/G + H'/H - conj(w) w' / (1 - |w|^2)."""
-    return p_phi - _sigma(w0, w1)
-
-
-def _schwarzian_kernel(w0, w1, w2, p_phi, s_phi):
-    """S_f = S_phi - (3/2) sigma^2 + conj(w) (w' P_phi - w'') / (1 - |w|^2)."""
-    denom = 1 - abs(w0) ** 2
-    return s_phi - 1.5 * _sigma(w0, w1) ** 2 + (w0.conjugate() / denom) * (w1 * p_phi - w2)
-
-
-def _dbar_pre_kernel(w0, w1):
-    """d/dzbar P_f = -|w'|^2 / (1 - |w|^2)^2."""
-    return -abs(w1) ** 2 / (1 - abs(w0) ** 2) ** 2
-
-
-def _dbar_schwarzian_kernel(w0, w1, w2, p_phi):
-    """d/dzbar S_f = conj(w') ((w' P_phi - w'') / (1 - |w|^2)^2
-    - 3 w'^2 conj(w) / (1 - |w|^2)^3)."""
-    denom = 1 - abs(w0) ** 2
-    return w1.conjugate() * (
-        (w1 * p_phi - w2) / denom ** 2 - 3 * w1 ** 2 * w0.conjugate() / denom ** 3
-    )
-
-
-def _hg_kernel(eps, w0, w1, g0, g1, hp0, hp1):
-    """h''/h' + g'/g + (eps-1) g'/g + eps w' / (1 + eps w), for m = 0."""
-    logg = g1 / g0
-    return hp1 / hp0 + logg + (eps - 1) * logg + eps * w1 / (1 + eps * w0)
-
-
-def _analytic_pre_kernel(d1, d2):
-    return d2 / d1
-
-
-def _analytic_schwarzian_kernel(d1, d2, d3):
-    return d3 / d1 - 1.5 * _analytic_pre_kernel(d1, d2) ** 2
 
 
 # -- one point and whole arrays -------------------------------------------
@@ -429,8 +392,9 @@ def wirtinger(f: LogHarmonicMap, z: complex) -> tuple[complex, complex, complex]
 
 
 def _pre(f: LogHarmonicMap, z):
+    """P_f = G'/G + H'/H - conj(w) w' / (1 - |w|^2)."""
     omega, G, H = _raw_local(f, z, origin_exponent(f), 2)
-    p = _pre_kernel(omega.d0, omega.d1, _phi_logderiv(G, H))
+    p = _phi_logderiv(G, H) - _sigma(omega.d0, omega.d1)
     return np.where(np.abs(omega.d0) < 1, p, np.nan)
 
 
@@ -456,11 +420,13 @@ def phi_family(f: LogHarmonicMap, z: complex) -> tuple[complex, complex]:
 
 
 def _schwarzian(f: LogHarmonicMap, z):
+    """S_f = S_phi - (3/2) sigma^2 + conj(w) (w' P_phi - w'') / (1 - |w|^2)."""
     omega, G, H = _raw_local(f, z, origin_exponent(f), 3)
-    s = _schwarzian_kernel(
-        omega.d0, omega.d1, omega.d2, _phi_logderiv(G, H), _phi_schwarzian(G, H)
-    )
-    return np.where(np.abs(omega.d0) < 1, s, np.nan)
+    w0, w1, w2 = omega.d0, omega.d1, omega.d2
+    p_phi, s_phi = _phi_logderiv(G, H), _phi_schwarzian(G, H)
+    denom = 1 - abs(w0) ** 2
+    s = s_phi - 1.5 * _sigma(w0, w1) ** 2 + (w0.conjugate() / denom) * (w1 * p_phi - w2)
+    return np.where(np.abs(w0) < 1, s, np.nan)
 
 
 def schwarzian(f: LogHarmonicMap, z: complex) -> complex:
@@ -474,8 +440,10 @@ def schwarzian_field(f: LogHarmonicMap):
 
 
 def _dbar_pre(f: LogHarmonicMap, z):
+    """d/dzbar P_f = -|w'|^2 / (1 - |w|^2)^2."""
     om = _omega_from_factors(f, z, 2)
-    return np.where(np.abs(om.d0) < 1, _dbar_pre_kernel(om.d0, om.d1), np.nan)
+    v = -abs(om.d1) ** 2 / (1 - abs(om.d0) ** 2) ** 2
+    return np.where(np.abs(om.d0) < 1, v, np.nan)
 
 
 def dbar_pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
@@ -494,9 +462,16 @@ def dbar_pre_schwarzian_field(f: LogHarmonicMap):
 
 
 def _dbar_schwarzian(f: LogHarmonicMap, z):
+    """d/dzbar S_f = conj(w') ((w' P_phi - w'') / (1 - |w|^2)^2
+    - 3 w'^2 conj(w) / (1 - |w|^2)^3)."""
     omega, G, H = _raw_local(f, z, origin_exponent(f), 3)
-    v = _dbar_schwarzian_kernel(omega.d0, omega.d1, omega.d2, _phi_logderiv(G, H))
-    return np.where(np.abs(omega.d0) < 1, v, np.nan)
+    w0, w1, w2 = omega.d0, omega.d1, omega.d2
+    p_phi = _phi_logderiv(G, H)
+    denom = 1 - abs(w0) ** 2
+    v = w1.conjugate() * (
+        (w1 * p_phi - w2) / denom ** 2 - 3 * w1 ** 2 * w0.conjugate() / denom ** 3
+    )
+    return np.where(np.abs(w0) < 1, v, np.nan)
 
 
 def dbar_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
@@ -513,8 +488,9 @@ def dbar_schwarzian_field(f: LogHarmonicMap):
 
 
 def _analytic_pre(e: Expr, z):
+    """e''/e'."""
     j = eval_jet(e, z, order=2)
-    return _analytic_pre_kernel(j.d1, j.d2)
+    return j.d2 / j.d1
 
 
 def analytic_pre_schwarzian(e: Expr, z: complex) -> complex:
@@ -527,8 +503,10 @@ def analytic_pre_schwarzian_field(e: Expr):
 
 
 def _analytic_schwarzian(e: Expr, z):
+    """e'''/e' - (3/2)(e''/e')^2."""
     j = eval_jet(e, z, order=3)
-    return _analytic_schwarzian_kernel(j.d1, j.d2, j.d3)
+    d1 = j.d1
+    return j.d3 / d1 - 1.5 * (j.d2 / d1) ** 2
 
 
 def analytic_schwarzian(e: Expr, z: complex) -> complex:
@@ -541,8 +519,10 @@ def analytic_schwarzian_field(e: Expr):
 
 
 def _hg(f: LogHarmonicMap, z, eps: complex):
-    omega, G, H = _raw_local(f, z, 0j, 2)  # m = 0, so c = 0
-    return _hg_kernel(eps, omega.d0, omega.d1, G.d0, G.d1, H.d0, H.d1)
+    """h''/h' + g'/g + (eps-1) g'/g + eps w' / (1 + eps w), for m = 0."""
+    omega, G, H = _raw_local(f, z, 0j, 2)  # m = 0, so c = 0: G = g and H = h'
+    logg = G.d1 / G.d0
+    return H.d1 / H.d0 + logg + (eps - 1) * logg + eps * omega.d1 / (1 + eps * omega.d0)
 
 
 def hg_epsilon_pre_schwarzian(f: LogHarmonicMap, eps: complex, z: complex) -> complex:

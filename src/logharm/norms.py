@@ -73,6 +73,10 @@ class GridSpec:
     refine_rounds: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("radial_levels", "angular_count", "refine_rounds"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.radial_levels < 2:
             raise ValueError("radial_levels must be at least 2")
         _check_r_max(self.r_max)
@@ -103,16 +107,11 @@ def _radii(inner: float, r_max: float, n: int) -> np.ndarray:
     return 1.0 - (1.0 - inner) * ratio**k
 
 
-def _weighted(field, p: int, r, theta):
-    """Points r exp(i theta), as an array, and (1 - r^2)^p |field| there,
-    -inf where the field fails; r or theta may be an array."""
-    z = np.atleast_1d(r * np.exp(1j * theta))
-    w = (1.0 - r * r) ** p * np.abs(field(z))
-    return z, np.where(np.isfinite(w), w, -math.inf)
-
-
-def _weighted_values(field, p: int, r, theta):
-    return _weighted(field, p, r, theta)[1]
+def _weighted(field, p: int, r, z):
+    """(1 - r^2)^p |field(z)| at the points z of modulus r, r broadcasting
+    against z: the one value that the walk, the zooms and the certificate
+    read.  It is NaN where the field fails."""
+    return (1.0 - r * r) ** p * np.abs(field(z))
 
 
 def _zoom_grid(a: float, b: float) -> np.ndarray:
@@ -125,17 +124,21 @@ def _zoom_grid(a: float, b: float) -> np.ndarray:
     return xs
 
 
-def _zoom_max(fn, a: float, b: float):
-    """(x, fn(x)) at the first best point found in [a, b].
+def _zoom_max(weighted, a: float, b: float, r=None, theta=None):
+    """(x, value) at the first best point found in [a, b]: x is the radius
+    at the angle ``theta``, or the angle at the radius ``r``.
 
-    Each round is one call of the vectorized fn on _ZOOM_POINTS evenly
+    Each round is one call of ``weighted(r, z)`` on _ZOOM_POINTS evenly
     spaced points of the bracket, which then shrinks to the two cells
-    around the round's first best point.
+    around the round's first best point.  Values that are not finite are
+    skipped.
     """
     best = (a, -math.inf)
     for _ in range(_ZOOM_ROUNDS):
         xs = _zoom_grid(a, b)
-        ys = fn(xs)
+        rs, ts = (xs, theta) if r is None else (r, xs)
+        ys = weighted(rs, rs * np.exp(1j * ts))
+        ys = np.where(np.isfinite(ys), ys, -math.inf)
         j = int(np.argmax(ys))
         if ys[j] > best[1]:
             best = (float(xs[j]), float(ys[j]))
@@ -169,11 +172,8 @@ def level_walk(level_fns, grid: GridSpec, inner: float = 0.0):
     function is called on each block in list order, and the functions share
     the block's jets (`expr.shared_jets`), so each returns the same bits as
     when walked alone.  `AllSamplesFailed` is raised when every sample of
-    any one function failed.  A single function, not in a list, gives a
-    single `Walk`.
+    any one function failed.
     """
-    if callable(level_fns):
-        return level_walk([level_fns], grid, inner)[0]
     radii = _radii(inner, grid.r_max, grid.radial_levels)
     thetas = np.arange(grid.angular_count) * (2.0 * math.pi / grid.angular_count)
     ring = np.exp(1j * thetas)
@@ -204,12 +204,7 @@ def level_walk(level_fns, grid: GridSpec, inner: float = 0.0):
     return [Walk(*b, radii, all_, bad) for b, all_, bad in zip(best, total, failed)]
 
 
-def _level_values(field, weight_power: int, r, zs):
-    return np.abs(field(zs)) * ((1.0 - r * r) ** weight_power)
-
-
-def _refine(field, weight_power: int, walk: Walk, grid: GridSpec, inner: float,
-            diverged: bool) -> NormEstimate:
+def _refine(weighted, walk: Walk, grid: GridSpec, inner: float, diverged: bool) -> NormEstimate:
     radii, best_level, best_val, th_best = walk.radii, walk.level, walk.value, walk.theta
     r_best = float(radii[best_level])
     dtheta = 2.0 * math.pi / grid.angular_count
@@ -227,9 +222,7 @@ def _refine(field, weight_power: int, walk: Walk, grid: GridSpec, inner: float,
         )
         if (lo, hi, th_best) != last_r:
             last_r = (lo, hi, th_best)
-            r_new, v_r = _zoom_max(
-                partial(_weighted_values, field, weight_power, theta=th_best), lo, hi
-            )
+            r_new, v_r = _zoom_max(weighted, lo, hi, theta=th_best)
             if v_r > best_val:
                 best_val, r_best = v_r, r_new
                 while best_level + 1 < len(radii) and radii[best_level + 1] < r_best:
@@ -239,21 +232,17 @@ def _refine(field, weight_power: int, walk: Walk, grid: GridSpec, inner: float,
 
         if (r_best, th_best) != last_theta:
             last_theta = (r_best, th_best)
-            th_new, v_t = _zoom_max(
-                partial(_weighted_values, field, weight_power, r_best),
-                th_best - dtheta,
-                th_best + dtheta,
-            )
+            th_new, v_t = _zoom_max(weighted, th_best - dtheta, th_best + dtheta, r=r_best)
             if v_t > best_val:
                 best_val, th_best = v_t, th_new
         refine_trace.append(best_val)
 
-    z, w = _weighted(field, weight_power, r_best, th_best)
+    z = np.atleast_1d(r_best * np.exp(1j * th_best))
     # the one-point re-evaluation is the certificate; keep the max seen
-    argmax, value = complex(z[0]), max(float(w[0]), best_val)
+    w = float(weighted(r_best, z)[0])
     return NormEstimate(
-        value=value,
-        argmax=argmax,
+        value=w if math.isfinite(w) and w > best_val else best_val,
+        argmax=complex(z[0]),
         grid=grid,
         diverged=diverged,
         samples=walk.samples,
@@ -261,17 +250,6 @@ def _refine(field, weight_power: int, walk: Walk, grid: GridSpec, inner: float,
         flagged=walk.failed > 0.01 * walk.samples,
         refine_values=tuple(refine_trace),
     )
-
-
-def _sweep(fields, grid: GridSpec, singular: bool = False) -> list[NormEstimate]:
-    """One estimate per (field, weight power) pair: one grid walk for all of
-    them, then a refine per field.  A singular sweep covers the punctured
-    annulus |z| >= _INNER_RADIUS and marks its estimates diverged."""
-    inner = _INNER_RADIUS if singular else 0.0
-    walks = level_walk([partial(_level_values, fld, p) for fld, p in fields], grid, inner)
-    return [
-        _refine(fld, p, walk, grid, inner, singular) for (fld, p), walk in zip(fields, walks)
-    ]
 
 
 @dataclass(frozen=True)
@@ -294,14 +272,16 @@ def weighted_sups(sups: Sequence[Sup], grid: GridSpec | None = None) -> list[Nor
     grid walk per inner radius: every field is still called on every block,
     but the fields of one walk share the jets of h, g and any other
     expression they evaluate there.  Walks run in order of their first sup;
-    each field is refined on its own."""
+    each field is refined on its own.  A singular walk covers the punctured
+    annulus |z| >= _INNER_RADIUS and marks its estimates diverged."""
     grid = grid or GridSpec()
     out: list = [None] * len(sups)
     for singular in dict.fromkeys(s.singular for s in sups):
         picked = [i for i, s in enumerate(sups) if s.singular == singular]
-        ests = _sweep([(sups[i].field, sups[i].weight_power) for i in picked], grid, singular)
-        for i, est in zip(picked, ests):
-            out[i] = est
+        inner = _INNER_RADIUS if singular else 0.0
+        weighted = [partial(_weighted, sups[i].field, sups[i].weight_power) for i in picked]
+        for i, wt, walk in zip(picked, weighted, level_walk(weighted, grid, inner)):
+            out[i] = _refine(wt, walk, grid, inner, singular)
     return out
 
 

@@ -297,7 +297,7 @@ def test_criterion_9_sweep_determinism():
     f = build("gap-five-sharp")
     field = pre_schwarzian_field(f)
     ref_value, ref_point = one_call_reference(field, 1, GRID)
-    walk = level_walk(lambda r, z: np.abs(field(z)) * (1.0 - r * r), GRID)
+    (walk,) = level_walk([lambda r, z: np.abs(field(z)) * (1.0 - r * r)], GRID)
     results = []
     for _ in range(2):
         est = pre_schwarzian_norm(f, GRID)

@@ -13,6 +13,8 @@ from logharm.norms import GridSpec
 
 # enough resolution for the 0.01-level norm tolerances in the catalog
 RUN_GRID = GridSpec(radial_levels=60, angular_count=64, refine_rounds=2)
+# enough to run every metric, not to meet its tolerance
+TINY_GRID = GridSpec(radial_levels=8, angular_count=8, refine_rounds=1)
 
 
 def test_catalog_lists_known_names():
@@ -22,15 +24,27 @@ def test_catalog_lists_known_names():
         assert expected in names
 
 
-def test_every_catalog_metric_is_a_key_of_the_metric_table():
-    used = {check["metric"] for name in fixture_names() for check in load_fixture(name).checks}
-    assert used <= set(fixtures._METRICS)
+def _only(monkeypatch, entry: dict) -> None:
+    """Make ``entry`` the whole catalog."""
+    monkeypatch.setattr(fixtures, "_catalog", lambda: [entry])
 
 
-def test_unknown_metric_raises():
-    fx = load_fixture("koebe")
-    with pytest.raises(ValueError, match="unknown metric"):
-        fixtures._evaluate_metric(fx, "no_such_metric", None, RUN_GRID, {})
+def test_every_catalog_metric_is_a_key_of_the_metric_table(monkeypatch):
+    # every check of the catalog, run alone, names a metric run_fixture knows
+    for entry in fixtures._catalog():
+        for check in entry["checks"]:
+            _only(monkeypatch, {**entry, "checks": [check]})
+            (row,) = run_fixture(entry["name"], grid=TINY_GRID).rows
+            assert (row.metric, row.expected) == (check["metric"], check["expect"])
+
+
+def test_unknown_metric_raises(monkeypatch):
+    (koebe,) = [e for e in fixtures._catalog() if e["name"] == "koebe"]
+    unknown = {"metric": "no_such_metric", "expect": 0.0, "tol": 1.0}
+    for checks in ([unknown], [*koebe["checks"], unknown], [unknown, *koebe["checks"]]):
+        _only(monkeypatch, {**koebe, "checks": checks})
+        with pytest.raises(ValueError, match="unknown metric 'no_such_metric'"):
+            run_fixture("koebe", grid=TINY_GRID)
 
 
 def test_load_unknown_name_raises():
@@ -78,33 +92,58 @@ def test_relative_tolerance_checks_use_relative_error():
     assert rel_err <= row.tol
 
 
+# the catalog's norm and gap rows, and the fixtures that have any
+NORM_METRICS = frozenset({
+    "pre_schwarzian_norm", "product_pre_schwarzian_norm", "member_pre_schwarzian_norm",
+    "bloch_log_g", "schwarzian_norm", "norm_gap", "eps_norm_gap",
+})
+WITH_NORMS = frozenset(
+    {"gap-one-sharp", "gap-five-sharp", "mobius-gap-a60", "mobius-gap-a90", "mobius-gap-a99",
+     "koebe"}
+)
+GAP_ROWS = {
+    "gap-one-sharp": ("norm_gap", "pre_schwarzian_norm", "product_pre_schwarzian_norm"),
+    "gap-five-sharp": ("eps_norm_gap", "pre_schwarzian_norm", "member_pre_schwarzian_norm"),
+}
+
+
 @pytest.mark.parametrize(
     "name, gap, a, b",
     [
-        ("gap-one-sharp", "norm_gap", "pre_schwarzian_norm", "product_pre_schwarzian_norm"),
-        ("gap-five-sharp", "eps_norm_gap", "pre_schwarzian_norm", "member_pre_schwarzian_norm"),
+        pytest.param(n, *GAP_ROWS[n], id="-".join((n, *GAP_ROWS[n])))
+        if n in GAP_ROWS else pytest.param(n, None, None, None, id=n)
+        for n in fixture_names()
     ],
 )
 def test_gap_row_is_difference_of_sibling_rows(name, gap, a, b, monkeypatch):
-    # P_f is swept where every sweep happens, in norms._sweep; tag its field
-    # to count the sweeps that read it
-    p_fields, calls = [], []
-    made, counted = norms.pre_schwarzian_field, norms._sweep
+    # every norm sweep walks the grid in norms.level_walk; count those walks,
+    # and tag P_f's field to see that the one walk reads it
+    p_fields, walks = [], []
+    made, walk = norms.pre_schwarzian_field, norms.level_walk
 
     def tagged(f):
         p_fields.append(made(f))
         return p_fields[-1]
 
-    def counting(fields, *args, **kwargs):
-        if any(fld is p for fld, _ in fields for p in p_fields):
-            calls.append(fields)
-        return counted(fields, *args, **kwargs)
+    def counting(level_fns, *args, **kwargs):
+        walks.append([fn.args[0] for fn in level_fns])
+        return walk(level_fns, *args, **kwargs)
 
     monkeypatch.setattr(norms, "pre_schwarzian_field", tagged)
-    monkeypatch.setattr(norms, "_sweep", counting)
-    computed = {r.metric: r.computed for r in run_fixture(name, grid=RUN_GRID).rows}
-    assert computed[gap] == abs(computed[a] - computed[b])
-    assert len(calls) == 1  # the gap reuses the norm row instead of recomputing it
+    monkeypatch.setattr(norms, "level_walk", counting)
+    rows = run_fixture(name, grid=RUN_GRID).rows
+    computed = {r.metric: r.computed for r in rows}
+    norm_rows = {r.metric for r in rows} & NORM_METRICS
+    assert bool(norm_rows) == (name in WITH_NORMS)
+    if not norm_rows:
+        assert walks == []  # a fixture without norm or gap rows sweeps no norm
+        return
+    (fields,) = walks  # one sweep reads every norm, and each gap reuses its norms
+    norms_read = (norm_rows - {"norm_gap", "eps_norm_gap"}) | ({a, b} - {None})
+    assert len(fields) == len(norms_read)
+    assert any(fld is p for fld in fields for p in p_fields)
+    if gap is not None:
+        assert computed[gap] == abs(computed[a] - computed[b])
 
 
 def test_a_sample_outside_the_sense_preserving_disk_gives_a_nan_row(monkeypatch):

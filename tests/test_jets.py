@@ -8,7 +8,7 @@ import pytest
 
 from logharm import jets, maps, norms
 from logharm.errors import PoleEncountered
-from logharm.expr import eval_jet
+from logharm.expr import eval_jet, parse
 from logharm.fixtures import fixture_names, load_fixture
 from logharm.jets import Jet, zpow_jet
 from logharm.maps import LogHarmonicMap, origin_exponent
@@ -36,6 +36,20 @@ def test_variable_jet_shape():
     assert j.d1 == 1
     assert j.d2 == 0
     assert j.d3 == 0
+
+
+@pytest.mark.parametrize("order", [-3, -2, -1, 4])
+def test_jets_of_an_order_outside_0_to_3_are_refused(order):
+    with pytest.raises(ValueError, match="jet order must be 0..3"):
+        Jet.constant(2 + 0j, order)
+    with pytest.raises(ValueError, match="jet order must be 0..3"):
+        Jet.variable(0.5 + 0j, order)
+    with pytest.raises(ValueError, match="jet order must be 0..3"):
+        eval_jet(parse("z^2"), 0.5, order=order)
+    with pytest.raises(ValueError, match="jet order must be 0..3"):
+        eval_jet(parse("z^2"), np.array([0.5, 0.25j]), order=order)
+    for k in range(4):  # every order inside stays accepted
+        assert Jet.constant(2 + 0j, k).order == Jet.variable(0.5 + 0j, k).order == k
 
 
 def test_geometric_series_jet():

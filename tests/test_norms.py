@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -64,6 +65,16 @@ def test_gridspec_defaults_and_validation():
         GridSpec(radial_levels=1)
     with pytest.raises(ValueError):
         GridSpec(refine_rounds=-1)
+    # counts must be integers: a float, a bool, a string or None is refused
+    for bad in (
+        {"radial_levels": 2.5}, {"angular_count": 8.5}, {"refine_rounds": 1.5},
+        {"radial_levels": 40.0}, {"angular_count": "512"}, {"refine_rounds": True},
+        {"radial_levels": True}, {"angular_count": False}, {"refine_rounds": None},
+        {"radial_levels": 2.5, "angular_count": 8.5, "refine_rounds": 1.5},
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GridSpec(**bad)
+    assert GridSpec(np.int64(3), angular_count=np.int32(8), refine_rounds=np.int64(0))
 
 
 def test_constant_field_sup_is_one_at_origin():
@@ -202,7 +213,7 @@ def test_level_blocks_keep_every_witness(name, make_field, p):
     inner = _INNER_RADIUS if origin_exponent(f) != 0 else 0.0
     level_fn = lambda r, zs: np.abs(field(zs)) * ((1.0 - r * r) ** p)
     for grid in (SMALL, GridSpec(radial_levels=37, angular_count=96)):
-        walk = level_walk(level_fn, grid, inner)
+        (walk,) = level_walk([level_fn], grid, inner)
         got = (walk.value, walk.point, walk.level, walk.theta, walk.samples, walk.failed)
         assert got == _per_level_walk(level_fn, grid, inner)
 
@@ -216,7 +227,7 @@ def test_sweep_matches_one_call_reference(name, make_field, p):
     f = build(name)
     field = make_field(f)
     ref_value, ref_point = one_call_reference(field, p, grid)
-    walk = level_walk(lambda r, zs: np.abs(field(zs)) * ((1.0 - r * r) ** p), grid)
+    (walk,) = level_walk([lambda r, zs: np.abs(field(zs)) * ((1.0 - r * r) ** p)], grid)
     assert (walk.value, walk.point) == (ref_value, ref_point)
     norm = pre_schwarzian_norm if p == 1 else schwarzian_norm
     runs = []
@@ -232,7 +243,7 @@ def test_level_blocks_break_ties_in_r_theta_order():
     # angles and blocks; the first of them in (r, theta) order is the witness
     level_fn = lambda r, zs: np.floor(2.0 * zs.imag) + 0.0 * r
     for grid in (SMALL, GridSpec(radial_levels=37, angular_count=96)):
-        walk = level_walk(level_fn, grid)
+        (walk,) = level_walk([level_fn], grid)
         got = (walk.value, walk.point, walk.level, walk.theta, walk.samples, walk.failed)
         assert got == _per_level_walk(level_fn, grid, 0.0)
         assert walk.value == 1.0
@@ -444,14 +455,15 @@ ZOOM_MAX = norms._zoom_max
 
 def _reference_refine(field, p, grid, inner):
     """The refine loop with every zoom run: (value, argmax, refine_values)."""
-    walk = level_walk(lambda r, zs: np.abs(field(zs)) * ((1.0 - r * r) ** p), grid, inner)
+    weighted = partial(norms._weighted, field, p)
+    (walk,) = level_walk([weighted], grid, inner)
     radii, level, best, th = walk.radii, walk.level, walk.value, walk.theta
     r_best = float(radii[level])
     trace = [best]
     for _ in range(grid.refine_rounds):
         lo = float(radii[level - 1]) if level > 0 else inner
         hi = float(radii[level + 1]) if level + 1 < len(radii) else grid.r_max
-        r_new, v = ZOOM_MAX(lambda r: norms._weighted(field, p, r, th)[1], lo, hi)
+        r_new, v = ZOOM_MAX(weighted, lo, hi, theta=th)
         if v > best:
             best, r_best = v, r_new
             while level + 1 < len(radii) and radii[level + 1] < r_best:
@@ -459,27 +471,28 @@ def _reference_refine(field, p, grid, inner):
             while level > 0 and radii[level] > r_best:
                 level -= 1
         dtheta = 2.0 * math.pi / grid.angular_count
-        th_new, v = ZOOM_MAX(lambda t: norms._weighted(field, p, r_best, t)[1],
-                             th - dtheta, th + dtheta)
+        th_new, v = ZOOM_MAX(weighted, th - dtheta, th + dtheta, r=r_best)
         if v > best:
             best, th = v, th_new
         trace.append(best)
-    z, w = norms._weighted(field, p, r_best, th)
-    return max(float(w[0]), best), complex(z[0]), tuple(trace)
+    z = np.atleast_1d(r_best * np.exp(1j * th))
+    w = float(weighted(r_best, z)[0])
+    return max(w, best) if math.isfinite(w) else best, complex(z[0]), tuple(trace)
 
 
 def test_no_refine_repeats_its_previous_zoom(monkeypatch):
     grid = dataclasses.replace(SMALL, refine_rounds=4)
     zooms = []
 
-    def recording(fn, a, b):
-        # the r-zoom fixes theta by keyword, the theta-zoom fixes r
-        fld = fn.args[0]
-        if "theta" in fn.keywords:
-            zooms.append((fld, "r", (a, b, fn.keywords["theta"])))
+    def recording(weighted, a, b, r=None, theta=None):
+        # the r-zoom fixes theta, the theta-zoom fixes r
+        assert weighted.func is norms._weighted
+        fld = weighted.args[0]
+        if r is None:
+            zooms.append((fld, "r", (a, b, theta)))
         else:
-            zooms.append((fld, "theta", (a, b, fn.args[2])))
-        return ZOOM_MAX(fn, a, b)
+            zooms.append((fld, "theta", (a, b, r)))
+        return ZOOM_MAX(weighted, a, b, r=r, theta=theta)
 
     monkeypatch.setattr(norms, "_zoom_max", recording)
     refines = 0
@@ -497,6 +510,28 @@ def test_no_refine_repeats_its_previous_zoom(monkeypatch):
         assert last.get((id(fld), direction)) != inputs
         last[id(fld), direction] = inputs
     assert len(zooms) < 2 * grid.refine_rounds * refines
+
+
+def test_a_zoom_skips_values_that_are_not_finite():
+    # the field fails on the inner third of the bracket, where each round's
+    # first points lie; the zoom still finds the best finite value
+    def weighted(r, z):
+        return np.where(np.abs(z) < 0.3, np.nan, np.abs(z))
+
+    assert ZOOM_MAX(weighted, 0.0, 0.9, theta=0.0) == (0.9, 0.9)
+
+
+@pytest.mark.parametrize("bad", [np.nan + 0j, np.inf + 0j])
+def test_a_failed_certificate_keeps_the_best_value_seen(bad):
+    # the field fails on every one-point call, the origin sample and the
+    # final re-evaluation among them; that value is never reported
+    def field(z):
+        z = np.asarray(z)
+        return np.full(z.shape, bad) if z.size == 1 else np.ones(z.shape, complex)
+
+    est = weighted_sup(field, 1, SMALL)
+    assert est.failed_samples == 1
+    assert math.isfinite(est.value) and est.value == est.refine_values[-1]
 
 
 def test_zoom_grid_is_linspace_bit_for_bit():
