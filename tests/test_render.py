@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,32 +176,41 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name, mode", sorted(GOLDEN))
 def test_output_is_byte_identical_to_golden(name, mode, tmp_path, monkeypatch):
-    # small CSV blocks, the last one partial: the block size must not show in the bytes
-    monkeypatch.setattr(render, "_CSV_BLOCK_ROWS", 100)
+    # blocks of 100 and of 8193 mesh points, neither of which divides the
+    # mesh's 1985: the block size must not show in the bytes
     target = parse(name) if name.startswith("(") else build(name)
     fmt = "csv" if mode == "csv" else "ppm"
     path = tmp_path / f"out.{fmt}"
-    render_image(
-        RenderJob(target, path, resolution=RES, fmt=fmt, color_by_weighted_field=mode == "color")
-    )
-    assert hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest() == GOLDEN[name, mode]
+    job = RenderJob(target, path, resolution=RES, fmt=fmt, color_by_weighted_field=mode == "color")
+    for rows in (100, 8193):
+        monkeypatch.setattr(render, "_BLOCK_ROWS", rows)
+        render_image(job)
+        digest = hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+        assert digest == GOLDEN[name, mode], rows
+
+
+def _index_rgb(i):
+    return np.stack([i % 256, i // 256, np.full_like(i, 7)], axis=1).astype(np.uint8)
 
 
 def test_repeated_pixel_takes_last_point(tmp_path, monkeypatch):
     # give every mesh point its own color, then replay the writer point by point
-    def index_colors(job, z, ok):
-        i = np.arange(len(z))
-        return np.stack([i % 256, i // 256, np.full_like(i, 7)], axis=1).astype(np.uint8)
+    seen = [0]
+
+    def index_colors(vals, ok, top):
+        # called once per block, in mesh order
+        i = np.arange(seen[0], seen[0] + len(ok))
+        seen[0] += len(ok)
+        return _index_rgb(i)
 
     monkeypatch.setattr(render, "_colors", index_colors)
     path = tmp_path / "id.ppm"
     job = RenderJob(parse("z"), path, resolution=RES, fmt="ppm")
-    render_image(job)
     z = mesh_points(RES, job.r_max)
     side = RES[1]
     half = float(np.abs(np.concatenate([z.real, z.imag])).max())
     scale = (side - 1) / (2 * half)
-    colors = index_colors(None, z, None)
+    colors = _index_rgb(np.arange(len(z)))
     want = np.zeros((side, side, 3), dtype=np.uint8)
     owner = {}
     for i, w in enumerate(z):
@@ -208,30 +218,59 @@ def test_repeated_pixel_takes_last_point(tmp_path, monkeypatch):
         owner.setdefault(pixel, []).append(i)
         want[pixel] = colors[i]
     assert any(len(points) > 1 for points in owner.values())
-    body = path.read_bytes()[len(f"P6 {side} {side} 255\n") :]
-    assert body == want.tobytes()
+    # with blocks of 100 points, some pixel is hit from two blocks: the later block wins
+    assert any(len({i // 100 for i in points}) > 1 for points in owner.values())
+    for rows in (render._BLOCK_ROWS, 100):
+        monkeypatch.setattr(render, "_BLOCK_ROWS", rows)
+        seen[0] = 0
+        render_image(job)
+        assert seen[0] == len(z)
+        body = path.read_bytes()[len(f"P6 {side} {side} 255\n") :]
+        assert body == want.tobytes(), rows
 
 
 def test_ramp_top_and_bad_points():
     # 1/z has a pole at the origin, so its weighted field is NaN there
     target = parse("1/z")
-    job = RenderJob(target, "unused.ppm", resolution=RES, fmt="ppm", color_by_weighted_field=True)
-    z = mesh_points(RES, job.r_max)
+    z = mesh_points(RES, 1 - 1e-3)
     ok = np.ones(len(z), dtype=bool)
     ok[-1] = False
     vals = np.abs(render._weighted_field(target)(z)) * (1 - np.abs(z) ** 2)
+    # the render's color values are these, computed chunk by chunk with the image
+    assert np.array_equal(render._colored_image(target, z)[1], vals, equal_nan=True)
     bad = ~np.isfinite(vals) | ~ok
     assert bad[0] and bad.sum() == 2
-    colors = render._colors(job, z, ok)
+    top = render._ramp_top(vals, ok)
+    assert top == vals[~bad].max()
+    colors = render._colors(vals, ok, top)
     assert tuple(colors[np.nanargmax(np.where(ok, vals, np.nan))]) == render._RAMP_HI
     # point by point, the ramp the colors must equal
-    top = vals[~bad].max()
     for i in range(len(z)):
         want = render._RAMP_BAD if bad[i] else [
             round(lo + vals[i] / top * (hi - lo))
             for lo, hi in zip(render._RAMP_LO, render._RAMP_HI)
         ]
         assert list(colors[i]) == list(want), i
+
+
+@pytest.mark.parametrize("fmt, colored", [("ppm", False), ("ppm", True), ("csv", False)])
+def test_render_memory_is_bounded(fmt, colored, tmp_path):
+    # besides the mesh, its image, their finite mask, the color values and
+    # the canvas, a render holds only blocks of a fixed size
+    resolution = (300, 1024)
+    points = 1 + (resolution[0] - 1) * resolution[1]
+    target = build("gap-one-sharp") if fmt == "ppm" else parse("(2-3*z)/(3-2*z)")
+    job = RenderJob(target, tmp_path / f"m.{fmt}", resolution=resolution, fmt=fmt,
+                    color_by_weighted_field=colored)
+    render_image(job)  # the imports and one-time set-up are not the render's
+    tracemalloc.start()
+    try:
+        render_image(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    canvas = 3 * resolution[1] ** 2 if fmt == "ppm" else 0
+    assert peak <= 48 * points + canvas + 8 * 2**20, peak / points
 
 
 def _repr_csv(rows):
