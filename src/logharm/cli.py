@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .criteria import (
-    CheckReport,
     associated_starlike,
     becker_check,
     epsilon_norm_gap_check,
@@ -33,7 +32,7 @@ from .criteria import (
     starlike_check,
 )
 from .errors import EvaluationError, IoFailure
-from .expr import ExprSyntaxError, parse, unparse
+from .expr import ExprSyntaxError, parse
 from .fixtures import fixture_names, load_fixture, run_fixture
 from .maps import (
     LogHarmonicMap,
@@ -382,11 +381,6 @@ _NORMS = {
 }
 
 
-def _with_companion(phi, report: CheckReport) -> CheckReport:
-    report.extras["companion"] = unparse(phi)
-    return report
-
-
 _CHECKS = {
     "becker": lambda args, grid: (becker_check(_target_expr(args), grid), {"expr": args.expr}),
     "nehari": lambda args, grid: (nehari_check(_target_expr(args), grid), {"expr": args.expr}),
@@ -409,7 +403,7 @@ _CHECKS = {
     ),
     "starlike": lambda args, grid: (starlike_check(_target_map(args), grid), _map_inputs(args)),
     "associated-starlike": lambda args, grid: (
-        _with_companion(*associated_starlike(_target_map(args), grid)),
+        associated_starlike(_target_map(args), grid)[1],
         _map_inputs(args),
     ),
 }
@@ -592,13 +586,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _emit_error("usage", exc)
         return 2
-    except IoFailure as exc:
-        _emit_error("IoFailure", exc)
-        return 2
-    except EvaluationError as exc:
-        _emit_error(type(exc).__name__, exc)
-        return 2
-    except (ExprSyntaxError, ValueError, KeyError, OverflowError) as exc:
+    except (
+        IoFailure, EvaluationError, ExprSyntaxError, ValueError, KeyError, OverflowError
+    ) as exc:
         _emit_error(type(exc).__name__, exc)
         return 2
 

@@ -152,11 +152,12 @@ def _off_origin(z):
     return complex(np.nan, np.nan) if abs(z) < ORIGIN_RADIUS else z
 
 
-def _raw_local(f: LogHarmonicMap, z, c: complex, order: int = 3):
+def _raw_local(f: LogHarmonicMap, z, order: int = 3):
     """(omega_jet, G_jet, H_jet) at z, with c = origin_exponent(f), as jets
     of order ``order - 1`` from h and g of order ``order``.  Order 1 is all
     J_f reads, order 2 all P_f reads, order 3 adds S_f's second derivatives.
     Above order 1 they are derivative data, NaN near the origin when c != 0."""
+    c = origin_exponent(f)
     if c != 0 and order > 1:
         z = _off_origin(z)
     hj = eval_jet(f.h, z, order)
@@ -331,7 +332,7 @@ def dilatation_field(f: LogHarmonicMap):
 
 
 def _jacobian(f: LogHarmonicMap, z):
-    omega, G, H = _raw_local(f, z, origin_exponent(f), 1)
+    omega, G, H = _raw_local(f, z, 1)
     return abs(H.d0 * G.d0) ** 2 * (1 - abs(omega.d0) ** 2)
 
 
@@ -393,7 +394,7 @@ def wirtinger(f: LogHarmonicMap, z: complex) -> tuple[complex, complex, complex]
 
 def _pre(f: LogHarmonicMap, z):
     """P_f = G'/G + H'/H - conj(w) w' / (1 - |w|^2)."""
-    omega, G, H = _raw_local(f, z, origin_exponent(f), 2)
+    omega, G, H = _raw_local(f, z, 2)
     p = _phi_logderiv(G, H) - _sigma(omega.d0, omega.d1)
     return np.where(np.abs(omega.d0) < 1, p, np.nan)
 
@@ -409,7 +410,7 @@ def pre_schwarzian_field(f: LogHarmonicMap):
 
 
 def _phi(f: LogHarmonicMap, z):
-    _, G, H = _raw_local(f, z, origin_exponent(f), 3)
+    _, G, H = _raw_local(f, z, 3)
     return _phi_logderiv(G, H), _phi_schwarzian(G, H)
 
 
@@ -421,7 +422,7 @@ def phi_family(f: LogHarmonicMap, z: complex) -> tuple[complex, complex]:
 
 def _schwarzian(f: LogHarmonicMap, z):
     """S_f = S_phi - (3/2) sigma^2 + conj(w) (w' P_phi - w'') / (1 - |w|^2)."""
-    omega, G, H = _raw_local(f, z, origin_exponent(f), 3)
+    omega, G, H = _raw_local(f, z, 3)
     w0, w1, w2 = omega.d0, omega.d1, omega.d2
     p_phi, s_phi = _phi_logderiv(G, H), _phi_schwarzian(G, H)
     denom = 1 - abs(w0) ** 2
@@ -464,7 +465,7 @@ def dbar_pre_schwarzian_field(f: LogHarmonicMap):
 def _dbar_schwarzian(f: LogHarmonicMap, z):
     """d/dzbar S_f = conj(w') ((w' P_phi - w'') / (1 - |w|^2)^2
     - 3 w'^2 conj(w) / (1 - |w|^2)^3)."""
-    omega, G, H = _raw_local(f, z, origin_exponent(f), 3)
+    omega, G, H = _raw_local(f, z, 3)
     w0, w1, w2 = omega.d0, omega.d1, omega.d2
     p_phi = _phi_logderiv(G, H)
     denom = 1 - abs(w0) ** 2
@@ -520,7 +521,7 @@ def analytic_schwarzian_field(e: Expr):
 
 def _hg(f: LogHarmonicMap, z, eps: complex):
     """h''/h' + g'/g + (eps-1) g'/g + eps w' / (1 + eps w), for m = 0."""
-    omega, G, H = _raw_local(f, z, 0j, 2)  # m = 0, so c = 0: G = g and H = h'
+    omega, G, H = _raw_local(f, z, 2)  # m = 0, so G = g and H = h'
     logg = G.d1 / G.d0
     return H.d1 / H.d0 + logg + (eps - 1) * logg + eps * omega.d1 / (1 + eps * omega.d0)
 

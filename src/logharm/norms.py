@@ -358,8 +358,7 @@ def radial_profile(
     _check_r_max(r_max)
     rs = np.linspace(0.0, r_max, samples)
     with np.errstate(all="ignore"):
-        vals = np.abs(field(rs.astype(complex)))
-        weighted = (1.0 - rs * rs) ** weight_power * vals
+        weighted = _weighted(field, weight_power, rs, rs.astype(complex))
     rows = [
         (float(r), float(w))
         for r, w in zip(rs, weighted)

@@ -20,7 +20,7 @@ from logharm.criteria import (
     schwarz_pick_check,
     starlike_check,
 )
-from logharm.expr import parse, unparse
+from logharm.expr import parse
 from logharm.maps import (
     LogHarmonicMap,
     analytic_pre_schwarzian,
@@ -540,12 +540,6 @@ NORMS = {
 }
 
 
-def _companion_report(f, grid):
-    phi, report = associated_starlike(f, grid)
-    report.extras["companion"] = unparse(phi)
-    return report
-
-
 CHECKS = {
     "becker": (("--expr", "z/(1-z)^2"), lambda: becker_check(parse("z/(1-z)^2"), TINY_GRID)),
     "nehari": (("--expr", "z+0.1*z^2"), lambda: nehari_check(parse("z+0.1*z^2"), TINY_GRID)),
@@ -564,7 +558,7 @@ CHECKS = {
     ),
     "norm-bound": (NEAR_ID, lambda: pre_schwarzian_bound_check(_map(NEAR_ID), TINY_GRID)),
     "starlike": (STARLIKE, lambda: starlike_check(_map(STARLIKE), TINY_GRID)),
-    "associated-starlike": (STARLIKE, lambda: _companion_report(_map(STARLIKE), TINY_GRID)),
+    "associated-starlike": (STARLIKE, lambda: associated_starlike(_map(STARLIKE), TINY_GRID)[1]),
 }
 
 

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from logharm import criteria
+from logharm import criteria, norms
 from logharm.errors import ZeroEncountered
 from logharm.criteria import (
     CheckReport,
@@ -24,7 +24,8 @@ from logharm.criteria import (
 )
 from logharm.expr import eval_value, parse
 from logharm.maps import LogHarmonicMap, pre_schwarzian, wirtinger
-from logharm.norms import _INNER_RADIUS, GridSpec, _radii
+from logharm.fixtures import fixture_names
+from logharm.norms import _INNER_RADIUS, GridSpec, _radii, pre_schwarzian_norm
 
 from conftest import build
 
@@ -180,6 +181,59 @@ def test_pre_schwarzian_bound_check_inconclusive(gap_one):
     assert "not claimed" in rep.detail
 
 
+def _counted_walks(monkeypatch) -> list:
+    """Record every grid walk, wherever criteria and norms look it up."""
+    walks, walk = [], norms.level_walk
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "level_walk", counted)
+    monkeypatch.setattr(norms, "level_walk", counted)
+    return walks
+
+
+def test_norm_bound_walks_only_for_what_it_reports(monkeypatch, gap_one):
+    # one walk of the eps = 1 margin, then one of P_f only when it holds
+    walks = _counted_walks(monkeypatch)
+    rep = pre_schwarzian_bound_check(LogHarmonicMap.from_strings(0, 0, "exp(z)", "1"), COARSE)
+    assert (rep.verdict, len(walks)) == ("pass", 2)
+    walks.clear()
+    rep = pre_schwarzian_bound_check(gap_one, COARSE)
+    assert (rep.verdict, len(walks)) == ("inconclusive", 1)
+    walks.clear()
+    with pytest.raises(ValueError, match="m = 0"):
+        pre_schwarzian_bound_check(build("starlike-vanishing"), COARSE)
+    assert walks == []
+
+
+def _composed_bound_report(f, grid):
+    """norm-bound composed of the whole eps = 1 check and the norm of P_f."""
+    hypothesis = hg_epsilon_univalence_check(f, 1, grid)
+    if hypothesis.verdict != "pass":
+        return CheckReport(
+            "inconclusive", hypothesis.worst_point, math.nan, hypothesis.samples,
+            "hypothesis fails at witness; the bound is not claimed",
+            {"hypothesis_margin": hypothesis.worst_margin},
+        )
+    est = pre_schwarzian_norm(f, grid)
+    detail = f"norm estimate {est.value:.6f} vs bound 7"
+    return CheckReport(
+        "pass" if est.value - 7.0 <= 2 * criteria.NORM_TOL else "fail", est.argmax,
+        est.value - 7.0, hypothesis.samples + est.samples, detail,
+        {"norm_f": est.value, "hypothesis_margin": hypothesis.worst_margin},
+    )
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in fixture_names() if build(n).m == 0] + ["exp(z), 1"]
+)
+def test_norm_bound_report_matches_its_composition(name):
+    f = LogHarmonicMap.from_strings(0, 0, "exp(z)", "1") if name == "exp(z), 1" else build(name)
+    assert repr(pre_schwarzian_bound_check(f, MEDIUM)) == repr(_composed_bound_report(f, MEDIUM))
+
+
 def test_starlike_vanishing_fixture(starlike_vanishing):
     rep = starlike_check(starlike_vanishing, COARSE)
     assert rep.verdict == "pass"
@@ -234,6 +288,8 @@ def test_associated_starlike_examples(starlike_vanishing):
     trivial = build("vanishing-simple")  # h = g, companion is z
     phi, rep = associated_starlike(trivial, COARSE)
     assert rep.verdict == "pass"
+    assert list(rep.extras) == ["failed_samples", "companion"]
+    assert rep.extras["companion"] == "z*(1/(1-z))/(1/(1-z))"
     assert eval_value(phi, 0.37 + 0.1j) == pytest.approx(0.37 + 0.1j, rel=1e-12)
 
     f = LogHarmonicMap.from_strings(1, 0, "1", "1+0.9*z")

@@ -304,7 +304,7 @@ def test_m0_norm_is_the_bloch_norm_of_log_hg_within_one(name):
     # Schwarz-Pick bounds the weighted last term by 1, so ||P_f|| is finite
     # iff log(h'g) is Bloch, and the two sups differ by at most 1
     f = build(name)
-    phi = as_field(lambda z: _phi_logderiv(*_raw_local(f, z, 0j)[1:]))
+    phi = as_field(lambda z: _phi_logderiv(*_raw_local(f, z)[1:]))
     gap = pre_schwarzian_norm(f, SMALL).value - weighted_sup(phi, 1, SMALL).value
     assert abs(gap) <= 1 + 2 * NORM_TOL
 
