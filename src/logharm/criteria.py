@@ -20,11 +20,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ZeroEncountered
-from .expr import Div, Expr, Lit, Mul, Pow, Var, eval_jet, unparse
+from .expr import Div, Expr, Lit, Mul, Pow, Var, eval_jet, real_coefficients, unparse
 from .maps import (
     LogHarmonicMap,
     _phi_logderiv,
     _raw_local,
+    _real_data,
     _sigma,
     analytic_pre_schwarzian_field,
     as_field,
@@ -72,16 +73,20 @@ def _inconclusive(point, samples, detail, extras) -> CheckReport:
     return CheckReport("inconclusive", point, math.nan, samples, detail, extras)
 
 
-def _worst_margin(margin_field, grid: GridSpec | None, inner: float = 0.0):
-    """(worst margin, witness, samples, failed) of a real margin field.
+def _worst_margin(margin_field, grid: GridSpec | None, inner: float = 0.0, *others):
+    """(worst margin, witness, samples, failed) of a real margin field,
+    followed by the max of each real field of ``others``, from one walk.
 
     The margin is re-evaluated at the witness; that re-evaluation pins the
     reported margin to its witness and is the certificate of a fail.
     """
-    (walk,) = level_walk([lambda r, zs: margin_field(zs)], grid or GridSpec(), inner)
+    walk, *maxima = level_walk(
+        [lambda r, zs, fld=fld: fld(zs) for fld in (margin_field, *others)],
+        grid or GridSpec(), inner,
+    )
     re_eval = float(margin_field(np.array([walk.point]))[0])
     worst = re_eval if math.isfinite(re_eval) else walk.value
-    return worst, walk.point, walk.samples, walk.failed
+    return (worst, walk.point, walk.samples, walk.failed, *(w.value for w in maxima))
 
 
 # -- pointwise univalence criteria ---------------------------------------
@@ -120,23 +125,28 @@ def nehari_check(e: Expr, grid: GridSpec | None = None) -> CheckReport:
 
 
 def schwarz_pick_check(omega: Expr, grid: GridSpec | None = None) -> CheckReport:
-    """Sampled |omega'| <= (1 - |omega|^2)/(1 - |z|^2) for a disk self-map."""
-    max_mod = [0.0]
+    """Sampled |omega'| <= (1 - |omega|^2)/(1 - |z|^2) for a disk self-map.
+
+    ``max_modulus`` is the max of |omega| over the same walk, which shares
+    omega's jets with the margin."""
+    conjugate = real_coefficients(omega)
 
     def margin(z):
         j = eval_jet(omega, z, order=1)
-        w0, w1 = j.d0, j.d1
-        mods = np.abs(w0)[np.isfinite(w0)]
-        if mods.size:
-            max_mod[0] = max(max_mod[0], float(np.max(mods)))
-        return np.abs(w1) * (1.0 - np.abs(z) ** 2) - (1.0 - np.abs(w0) ** 2)
+        return np.abs(j.d1) * (1.0 - np.abs(z) ** 2) - (1.0 - np.abs(j.d0) ** 2)
 
-    worst, point, total, failed = _worst_margin(as_field(margin, real=True), grid)
+    def modulus(z):
+        return np.abs(eval_jet(omega, z, order=0).d0)
+
+    worst, point, total, failed, max_mod = _worst_margin(
+        as_field(margin, real=True, conjugate=conjugate), grid, 0.0,
+        as_field(modulus, real=True, conjugate=conjugate),
+    )
     return _report(
         worst, point, total, "inequality holds at all samples",
-        "violated; the map is not a disk self-map at the witness" if max_mod[0] >= 1
+        "violated; the map is not a disk self-map at the witness" if max_mod >= 1
         else "violated at witness",
-        {"max_modulus": max_mod[0], "failed_samples": failed},
+        {"max_modulus": max_mod, "failed_samples": failed},
     )
 
 
@@ -160,7 +170,7 @@ def _a5_margin_field(f: LogHarmonicMap, eps: complex):
         m = (1.0 - np.abs(z) ** 2) * lhs - 1.0
         return np.where(np.abs(w0) < 1, m, np.nan)
 
-    return as_field(margin, real=True)
+    return as_field(margin, real=True, conjugate=_real_data(f, eps))
 
 
 def hg_epsilon_univalence_check(
@@ -288,7 +298,7 @@ def _starlike_margin_field(f: LogHarmonicMap):
         val = a + z * hj.d1 / hj.d0 - np.conj(b + z * gj.d1 / gj.d0)
         return -np.real(val)
 
-    return as_field(margin, real=True)
+    return as_field(margin, real=True, conjugate=_real_data(f))
 
 
 def starlike_check(f: LogHarmonicMap, grid: GridSpec | None = None) -> CheckReport:
@@ -324,7 +334,8 @@ def associated_starlike(
         gj = eval_jet(f.g, z, order=1)
         return -np.real(1.0 + z * hj.d1 / hj.d0 - z * gj.d1 / gj.d0)
 
-    worst, point, total, failed = _worst_margin(as_field(margin, real=True), grid, _INNER_RADIUS)
+    field = as_field(margin, real=True, conjugate=real_coefficients(f.h, f.g))
+    worst, point, total, failed = _worst_margin(field, grid, _INNER_RADIUS)
     return phi, _report(
         worst, point, total, "companion is starlike at all samples",
         "companion functional nonpositive at witness",

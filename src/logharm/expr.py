@@ -24,9 +24,13 @@ Note the grammar gives unary minus the tighter binding: ``-z^2`` is
 """
 from __future__ import annotations
 
+import cmath
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Union
+
+import numpy as np
 
 from .errors import PoleEncountered
 from .jets import Jet
@@ -304,33 +308,83 @@ def contains_var(e: Expr) -> bool:
     return contains_var(e.lhs) or contains_var(e.rhs)
 
 
+def real_coefficients(*exprs: Expr) -> bool:
+    """True when each expression is real on the real axis by construction:
+    every constant in it is real, and a constant raised to a power of z is
+    positive.  Then e(conj z) = conj e(z) on the principal branches, and jet
+    arithmetic keeps that symmetry to the bit, up to the sign of a zero part
+    (see ``maps.as_field``)."""
+    return all(map(_real, exprs))
+
+
+def _real(e: Expr) -> bool:
+    if not contains_var(e):
+        return _constant(e).imag == 0
+    if isinstance(e, Var):
+        return True
+    if isinstance(e, (Neg, Call)):
+        return _real(e.arg)
+    if isinstance(e, Pow) and not contains_var(e.base):
+        c = _constant(e.base)  # c^w = exp(w log c) needs log c real
+        return c.imag == 0 and c.real > 0 and _real(e.exponent)
+    if isinstance(e, Pow):
+        return _real(e.base) and _real(e.exponent)
+    return _real(e.lhs) and _real(e.rhs)
+
+
+def _constant(e: Expr) -> complex:
+    """The value of an expression that does not read z; NaN where it fails."""
+    try:
+        with np.errstate(all="ignore"):
+            v = complex(_eval(e, Jet.constant(0j, 0)).d0)
+    except (ArithmeticError, PoleEncountered):
+        return complex(math.nan, math.nan)
+    return v if cmath.isfinite(v) else complex(math.nan, math.nan)
+
+
 class _BlockJets:
     """The jets of one block of points, shared by the fields a sweep calls there.
 
     While a sweep holds a block (`shared_jets`), a node that ``eval_jet`` is
-    asked for on that very array is evaluated once per block, at the highest
-    order any field has read it in the sweep so far, and a read at a lower
-    order gets that jet's prefix: the same bits, because jet arithmetic is
-    triangular (see ``jets``).  Such a node met inside another expression on
-    the block, as h is inside h*g, is read from here too.
+    asked for on that very array, or on an array of a `held_part` of it, is
+    evaluated once per array, at the highest order any field has read it in
+    the sweep so far, and a read at a lower order gets that jet's prefix:
+    the same bits, because jet arithmetic is triangular (see ``jets``).
+    Such a node met inside another expression on the array, as h is inside
+    h*g, is read from here too.
     """
 
     def __init__(self):
         self.block = None
-        self.jets: dict[int, Jet] = {}
+        # id -> array, for the block and the arrays of its parts
+        self.arrays: dict[int, object] = {}
+        self.parts: dict = {}
+        self.jets: dict[tuple[int, int], Jet] = {}  # (id of array, id of node)
         # id -> (node, highest order read); holding the node keeps its id
         self.orders: dict[int, tuple[Expr, int]] = {}
 
     def hold(self, block) -> None:
-        self.block, self.jets = block, {}
+        self.block, self.jets, self.parts = block, {}, {}
+        self.arrays = {id(block): block}
 
-    def read(self, e: Expr, order: int) -> Jet:
-        key = id(e)
+    def holds(self, p) -> bool:
+        return self.arrays.get(id(p)) is p
+
+    def part(self, make):
+        if make not in self.parts:
+            made = self.parts[make] = make(self.block)
+            for a in made if isinstance(made, tuple) else (made,):
+                if a is not None:
+                    self.arrays[id(a)] = a
+        return self.parts[make]
+
+    def read(self, e: Expr, p, order: int) -> Jet:
+        key = (id(p), id(e))
         jet = self.jets.get(key)
         if jet is None or jet.order < order:
-            top = max(order, self.orders.get(key, (e, 0))[1])
-            self.orders[key] = (e, top)
-            jet = self.jets[key] = _eval(e, Jet.variable(self.block, top), share=False)
+            top = max(order, self.orders.get(id(e), (e, 0))[1])
+            self.orders[id(e)] = (e, top)
+            jet = self.jets[key] = _eval(e, Jet.variable(p, top), share=False)
         return jet.truncate(order)
 
 
@@ -342,8 +396,9 @@ def shared_jets():
     """Share jets between the fields called on one block of points at a time.
 
     Yields ``hold(block)``: from that call on until the next, every field
-    that evaluates an expression at exactly the array ``block`` shares one
-    jet of it.  Leaving the context drops every jet.
+    that evaluates an expression at exactly the array ``block``, or at an
+    array of a `held_part` of it, shares one jet of it per array.  Leaving
+    the context drops every jet.
     """
     global _held
     outer, _held = _held, _BlockJets()
@@ -353,12 +408,23 @@ def shared_jets():
         _held = outer
 
 
+def held_part(z, make):
+    """``make(z)``, made once per hold and kept until the next when z is the
+    held block: the arrays it returns (one, a tuple of them, or None) are
+    then the same objects for every field, and share their jets as the block
+    does.  For any other z it is made afresh."""
+    held = _held
+    if held is not None and z is held.block:
+        return held.part(make)
+    return make(z)
+
+
 def _eval(e: Expr, zjet: Jet, share: bool = True) -> Jet:
     """The jet of e, read from the held block's jets where e is shared there;
     ``share=False`` evaluates e itself (its subexpressions may be read)."""
     held = _held
-    if share and held is not None and zjet.coeffs[0] is held.block and id(e) in held.orders:
-        return held.read(e, len(zjet.coeffs) - 1)
+    if share and held is not None and id(e) in held.orders and held.holds(zjet.coeffs[0]):
+        return held.read(e, zjet.coeffs[0], len(zjet.coeffs) - 1)
     rule = _RULES.get(type(e))
     if rule is None:
         raise TypeError(f"not an expression node: {e!r}")
@@ -413,12 +479,13 @@ def eval_jet(e: Expr, p, order: int = 3) -> Jet:
 
     p may be a complex scalar (pole conditions raise) or a numpy array of
     points (lift the formula with ``maps.as_field`` to mask non-finite entries).
-    Inside ``shared_jets``, the jet at the held block is shared.
+    Inside ``shared_jets``, the jet at the held block, or at an array of a
+    `held_part` of it, is shared.
     """
     try:
         held = _held
-        if held is not None and p is held.block:
-            return held.read(e, order)
+        if held is not None and held.holds(p):
+            return held.read(e, p, order)
         return _eval(e, Jet.variable(p, order))
     except ZeroDivisionError as exc:
         raise PoleEncountered("division by zero", point=complex(p)) from exc

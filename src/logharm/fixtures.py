@@ -9,6 +9,7 @@ norms; every other metric is computed at its row.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -78,13 +79,21 @@ class FixtureResult:
         return all(r.ok for r in self.rows)
 
 
+@functools.cache
 def _catalog() -> list[dict]:
+    """The catalog entries, parsed once per process; `load_fixture` copies
+    what it hands out, so they stay as the file reads."""
     raw = resources.files("logharm").joinpath("fixtures.json").read_text("utf-8")
     return json.loads(raw)["fixtures"]
 
 
 def fixture_names() -> tuple[str, ...]:
     return tuple(item["name"] for item in _catalog())
+
+
+def _copy_check(check: dict) -> dict:
+    # a check's values are text, numbers, booleans and lists of numbers
+    return {k: list(v) if isinstance(v, list) else v for k, v in check.items()}
 
 
 def load_fixture(name: str) -> Fixture:
@@ -99,7 +108,7 @@ def load_fixture(name: str) -> Fixture:
                 map=LogHarmonicMap.from_strings(item["m"], beta, item["h"], item["g"]),
                 eps=eps,
                 omega=omega,
-                checks=tuple(item["checks"]),
+                checks=tuple(map(_copy_check, item["checks"])),
             )
     raise KeyError(f"unknown fixture {name!r}")
 

@@ -64,7 +64,7 @@ from .errors import (
     NotSensePreserving,
     PoleEncountered,
 )
-from .expr import Expr, eval_jet, parse
+from .expr import Expr, eval_jet, held_part, parse, real_coefficients
 from .jets import Jet, zpow_jet
 
 ORIGIN_RADIUS = 1e-8  # derivative ops stay outside this disk when c != 0
@@ -146,9 +146,11 @@ def _omega_from_factors(f: LogHarmonicMap, z, order: int) -> Jet:
 
 
 def _off_origin(z):
-    """z with the disk |z| < ORIGIN_RADIUS replaced by NaN."""
+    """z with the disk |z| < ORIGIN_RADIUS replaced by NaN; an array with no
+    point there is z itself, so that its jets stay shared (`expr.shared_jets`)."""
     if isinstance(z, np.ndarray):
-        return np.where(np.abs(z) < ORIGIN_RADIUS, np.nan + 1j * np.nan, z)
+        near = np.abs(z) < ORIGIN_RADIUS
+        return np.where(near, np.nan + 1j * np.nan, z) if near.any() else z
     return complex(np.nan, np.nan) if abs(z) < ORIGIN_RADIUS else z
 
 
@@ -174,7 +176,7 @@ def _raw_local(f: LogHarmonicMap, z, order: int = 3):
 # -- closed forms ----------------------------------------------------------
 # The terms below are shared by several operators.  Each operator's formula
 # `_<operator>(f, z)` is written once, further down, with its closed form in
-# its docstring: its field is `as_field(partial(formula, f))` and its scalar
+# its docstring: its field is `as_field(partial(formula, f), ...)` and its scalar
 # operator `_at(formula, f, z)`.
 
 
@@ -214,7 +216,53 @@ _FAILURES = (ZeroDivisionError, OverflowError, PoleEncountered)
 _CHUNK_POINTS = 8192
 
 
-def as_field(formula, real: bool = False):
+def _mirror_half(z):
+    """Columns 0..n/2 of a 2-D z of even width n >= 4, as a new array, when
+    column n - j is the conjugate of column j bit for bit (0 < j < n/2) on
+    every row; else None."""
+    n = z.shape[1]
+    if n % 2 or n < 4:
+        return None
+    h = n // 2
+    twin = np.conjugate(z[:, h - 1 : 0 : -1])
+    if not np.array_equal(z[:, h + 1 :].view(np.uint64), twin.view(np.uint64)):
+        return None
+    return np.ascontiguousarray(z[:, : h + 1])
+
+
+def _row_halves(z):
+    """A 2-D z of even width as its two row halves, so that a formula call
+    on either has about as many points as one on z's mirrored half; other
+    shapes whole."""
+    rows = z.shape[0]
+    if z.shape[1] % 2 or rows < 2:
+        return (z,)
+    return z[: (rows + 1) // 2], z[(rows + 1) // 2 :]
+
+
+def _unfold(v, n: int, real: bool):
+    """The values on n columns from those v on columns 0..n/2 of a mirrored
+    block: column n - j is the conjugate of column j, or its copy for a real
+    field."""
+    h = n // 2
+    out = np.empty((v.shape[0], n), v.dtype)
+    out[:, : h + 1] = v
+    if real:
+        out[:, h + 1 :] = v[:, h - 1 : 0 : -1]
+    else:
+        np.conjugate(v[:, h - 1 : 0 : -1], out=out[:, h + 1 :])
+    return out
+
+
+def _real_data(f: LogHarmonicMap, eps: complex = 0j) -> bool:
+    """True when f's exponents (so beta, unless m = 0), eps and h and g have
+    real coefficients (``expr.real_coefficients``), so that each field F of
+    f, or of its h g^eps member, has F(conj z) = conj F(z)."""
+    a, b = f.exponents
+    return a.imag == b.imag == complex(eps).imag == 0 and real_coefficients(f.h, f.g)
+
+
+def as_field(formula, real: bool = False, conjugate: bool = False):
     """Lift an array formula to a field: the one place that decides shape,
     warnings, NaN and the working set.
 
@@ -225,6 +273,24 @@ def as_field(formula, real: bool = False):
     are broadcast here.  A raise from ``_FAILURES`` can only come from such a
     scalar coefficient, so it makes the whole field NaN.
 
+    ``conjugate`` declares that formula(conj z) = conj formula(z), for a
+    field whose data have real coefficients (`_real_data`,
+    ``expr.real_coefficients``); the field constructor decides it from its
+    inputs.  Such a field, given a 2-D block whose column n - j is the
+    conjugate of column j bit for bit on every row (`_mirror_half`, as on
+    `norms.level_walk`'s rings of even size), runs the formula only on
+    columns 0..n/2 and fills the others by conjugation, or by copying for a
+    real margin.  Any other 2-D block of even width is evaluated in its two
+    row halves, so a formula call has about as many points either way.  For
+    the block that `expr.shared_jets` holds, the half and the row halves are
+    made once per hold (`expr.held_part`), so the fields of a sweep still
+    share their jets.
+
+    On every path a zero part is written as +0 before the NaN mask, so a
+    point's bits never depend on which half computed them: conjugation
+    flips the sign of a zero imaginary part, and the formula's own zeros
+    may carry either sign.
+
     More than ``_CHUNK_POINTS`` points are evaluated in consecutive chunks of
     that many points of the flattened z.  No temporary inside a formula is
     then large enough for numpy to elide, so every point's value is the same
@@ -233,25 +299,39 @@ def as_field(formula, real: bool = False):
     """
     dtype, nan = (float, np.nan) if real else (complex, np.nan + 1j * np.nan)
 
-    def chunk(z):
+    def raw(z):
         try:
             v = np.asarray(formula(z), dtype=dtype)
         except _FAILURES:
             v = np.asarray(nan)
-        if v.shape != z.shape:
-            v = np.broadcast_to(v, z.shape)
+        return v if v.shape == z.shape else np.broadcast_to(v, z.shape)
+
+    def finish(v):
+        v = v + 0.0  # -0 parts become +0
         return np.where(np.isfinite(v), v, nan)
+
+    def chunked(z, done):
+        if z.size <= _CHUNK_POINTS:
+            return done(raw(z))
+        flat = z.ravel()
+        out = np.empty(flat.shape, dtype)
+        for i in range(0, flat.size, _CHUNK_POINTS):
+            out[i : i + _CHUNK_POINTS] = done(raw(flat[i : i + _CHUNK_POINTS]))
+        return out.reshape(z.shape)
 
     def field(z):
         z = np.asarray(z, dtype=complex)
         with np.errstate(all="ignore"):
-            if z.size <= _CHUNK_POINTS:
-                return chunk(z)
-            flat = z.ravel()
-            out = np.empty(flat.shape, dtype)
-            for i in range(0, flat.size, _CHUNK_POINTS):
-                out[i : i + _CHUNK_POINTS] = chunk(flat[i : i + _CHUNK_POINTS])
-            return out.reshape(z.shape)
+            if z.ndim != 2:
+                return chunked(z, finish)
+            if conjugate:
+                half = held_part(z, _mirror_half)
+                if half is not None:
+                    return finish(_unfold(chunked(half, np.asarray), z.shape[1], real))
+            parts = held_part(z, _row_halves)
+            if len(parts) == 1:
+                return chunked(z, finish)
+            return np.concatenate([chunked(part, finish) for part in parts])
 
     return field
 
@@ -328,7 +408,7 @@ def dilatation(f: LogHarmonicMap, z: complex) -> complex:
 def dilatation_field(f: LogHarmonicMap):
     """Vectorized z -> omega(z), b/a at the origin; NaN only where the
     dilatation itself is not finite."""
-    return as_field(partial(_dilatation, f))
+    return as_field(partial(_dilatation, f), conjugate=_real_data(f))
 
 
 def _jacobian(f: LogHarmonicMap, z):
@@ -406,7 +486,7 @@ def pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
 
 def pre_schwarzian_field(f: LogHarmonicMap):
     """Vectorized z -> P_f(z); non-evaluable points come back NaN."""
-    return as_field(partial(_pre, f))
+    return as_field(partial(_pre, f), conjugate=_real_data(f))
 
 
 def _phi(f: LogHarmonicMap, z):
@@ -437,7 +517,7 @@ def schwarzian(f: LogHarmonicMap, z: complex) -> complex:
 
 def schwarzian_field(f: LogHarmonicMap):
     """Vectorized z -> S_f(z); non-evaluable points come back NaN."""
-    return as_field(partial(_schwarzian, f))
+    return as_field(partial(_schwarzian, f), conjugate=_real_data(f))
 
 
 def _dbar_pre(f: LogHarmonicMap, z):
@@ -459,7 +539,7 @@ def dbar_pre_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
 def dbar_pre_schwarzian_field(f: LogHarmonicMap):
     """Vectorized z -> d/dzbar P_f(z): regular at the origin for every m,
     NaN where |omega| >= 1."""
-    return as_field(partial(_dbar_pre, f))
+    return as_field(partial(_dbar_pre, f), conjugate=_real_data(f))
 
 
 def _dbar_schwarzian(f: LogHarmonicMap, z):
@@ -482,7 +562,7 @@ def dbar_schwarzian(f: LogHarmonicMap, z: complex) -> complex:
 
 def dbar_schwarzian_field(f: LogHarmonicMap):
     """Vectorized z -> d/dzbar S_f(z); non-evaluable points come back NaN."""
-    return as_field(partial(_dbar_schwarzian, f))
+    return as_field(partial(_dbar_schwarzian, f), conjugate=_real_data(f))
 
 
 # -- analytic specializations --------------------------------------------
@@ -500,7 +580,7 @@ def analytic_pre_schwarzian(e: Expr, z: complex) -> complex:
 
 
 def analytic_pre_schwarzian_field(e: Expr):
-    return as_field(partial(_analytic_pre, e))
+    return as_field(partial(_analytic_pre, e), conjugate=real_coefficients(e))
 
 
 def _analytic_schwarzian(e: Expr, z):
@@ -516,7 +596,7 @@ def analytic_schwarzian(e: Expr, z: complex) -> complex:
 
 
 def analytic_schwarzian_field(e: Expr):
-    return as_field(partial(_analytic_schwarzian, e))
+    return as_field(partial(_analytic_schwarzian, e), conjugate=real_coefficients(e))
 
 
 def _hg(f: LogHarmonicMap, z, eps: complex):
@@ -542,7 +622,8 @@ def hg_epsilon_field(f: LogHarmonicMap, eps: complex):
     """Vectorized pre-Schwarzian of h * g^eps (m = 0)."""
     if f.m != 0:
         raise ValueError("the h g^eps family is defined for m = 0 mappings")
-    return as_field(partial(_hg, f, eps=complex(eps)))
+    eps = complex(eps)
+    return as_field(partial(_hg, f, eps=eps), conjugate=_real_data(f, eps))
 
 
 def compose_with_analytic(f: LogHarmonicMap, psi: Expr, z: complex) -> complex:

@@ -5,14 +5,21 @@ pre-Schwarzian and Bloch norms, p = 2 for the Schwarzian norm) by a polar
 grid sweep whose radii approach the boundary geometrically, followed by
 zoom refinement around the best sample.  Every reported value is a
 certified lower bound of the supremum: it is the weighted magnitude of the
-field at the reported argmax, re-evaluated at that one point at the end.
+field at the reported argmax, the exact sample or zoom point that gave the
+best value, re-evaluated at that one point at the end.
 No upper-bound certification is attempted.
 
 `level_walk` is the one grid walker: the norms and the criteria margins
 both reduce through it, in (r, theta) order with a strict comparison and a
-first-index tie-break, so every witness is deterministic.  It evaluates
-each field on blocks of consecutive levels of about `_BLOCK_POINTS` points,
-one call per block, and the origin sample on its own.
+first-index tie-break, so every witness is deterministic.  It calls each
+field once per block of consecutive levels, and on the origin sample on
+its own.  A ring of even size n is mirrored, ring[n - j] = conj(ring[j]),
+with its upper half exp(i theta_j) as computed, so a lower-half sample is
+r conj(ring[n - j]).  A field whose data have real coefficients then
+evaluates only columns 0..n/2 of a block and fills the rest by
+conjugation (`maps.as_field`); any other field evaluates the block in two
+row halves.  Either way a formula call sees about `_BLOCK_POINTS` points:
+8 levels of a 512-ring are 8 x 257 evaluated points.
 
 Norms that share a grid read one walk (`weighted_sups`): every field is
 still called on every block, but the fields share the jets of h, g and any
@@ -39,13 +46,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AllSamplesFailed
-from .expr import Expr, eval_jet, shared_jets
+from .expr import Expr, eval_jet, real_coefficients, shared_jets
 from .maps import (
     LogHarmonicMap, as_field, origin_exponent, pre_schwarzian_field, schwarzian_field
 )
 
-# points per field call of the sweep: 4 levels of 512 angles, the fastest
-# block measured on the default grid before memory grows
+# points per formula call of the sweep, the fastest measured on the default
+# grid: a block of the 512-ring holds 8 levels, of which a real-coefficient
+# field evaluates 8 x 257 points and any other field two row halves of
+# 4 x 512 (`maps.as_field`); a block of an odd ring holds 2048 points
 _BLOCK_POINTS = 2048
 # each zoom round is one call on this many points and keeps the two cells
 # around the best one, so _ZOOM_ROUNDS rounds shrink a bracket by ~31.5^5
@@ -168,16 +177,23 @@ def level_walk(level_fns, grid: GridSpec, inner: float = 0.0):
     samples.  Levels run in order of increasing r, and the reduction uses a
     strict comparison with the first index in (r, theta) order winning
     ties, so the witness is deterministic and does not depend on the block
-    size.  The origin level is a single sample, evaluated on its own.  Every
-    function is called on each block in list order, and the functions share
-    the block's jets (`expr.shared_jets`), so each returns the same bits as
-    when walked alone.  `AllSamplesFailed` is raised when every sample of
-    any one function failed.
+    size.  The origin level is a single sample, evaluated on its own.  A
+    ring of even size is mirrored, its upper half exp(i theta) bit for bit,
+    and a block holds about `_BLOCK_POINTS` points of its half (see the
+    module docstring).  Every function is called on each block in list
+    order, and the functions share the block's jets (`expr.shared_jets`),
+    so each returns the same bits as when walked alone.  `AllSamplesFailed`
+    is raised when every sample of any one function failed.
     """
     radii = _radii(inner, grid.r_max, grid.radial_levels)
-    thetas = np.arange(grid.angular_count) * (2.0 * math.pi / grid.angular_count)
+    n = grid.angular_count
+    thetas = np.arange(n) * (2.0 * math.pi / n)
     ring = np.exp(1j * thetas)
-    step = max(1, _BLOCK_POINTS // grid.angular_count)
+    if n % 2 == 0:
+        # ring[n - j] = conj(ring[j]); a real-coefficient field evaluates
+        # columns 0..n/2 of a block (`maps.as_field`)
+        np.conjugate(ring[n // 2 - 1 : 0 : -1], out=ring[n // 2 + 1 :])
+    step = max(1, _BLOCK_POINTS // (n // 2 if n % 2 == 0 else n))
     first = 1 if radii[0] == 0.0 else 0
     blocks = [(0, 1, ring[:1])] if first else []
     blocks += [(i, i + step, ring) for i in range(first, len(radii), step)]
@@ -206,7 +222,7 @@ def level_walk(level_fns, grid: GridSpec, inner: float = 0.0):
 
 def _refine(weighted, walk: Walk, grid: GridSpec, inner: float, diverged: bool) -> NormEstimate:
     radii, best_level, best_val, th_best = walk.radii, walk.level, walk.value, walk.theta
-    r_best = float(radii[best_level])
+    r_best, point = float(radii[best_level]), walk.point
     dtheta = 2.0 * math.pi / grid.angular_count
     refine_trace = [best_val]
     # a zoom whose inputs have not moved since its last run would find that
@@ -225,6 +241,7 @@ def _refine(weighted, walk: Walk, grid: GridSpec, inner: float, diverged: bool) 
             r_new, v_r = _zoom_max(weighted, lo, hi, theta=th_best)
             if v_r > best_val:
                 best_val, r_best = v_r, r_new
+                point = r_best * np.exp(1j * th_best)
                 while best_level + 1 < len(radii) and radii[best_level + 1] < r_best:
                     best_level += 1
                 while best_level > 0 and radii[best_level] > r_best:
@@ -235,10 +252,12 @@ def _refine(weighted, walk: Walk, grid: GridSpec, inner: float, diverged: bool) 
             th_new, v_t = _zoom_max(weighted, th_best - dtheta, th_best + dtheta, r=r_best)
             if v_t > best_val:
                 best_val, th_best = v_t, th_new
+                point = r_best * np.exp(1j * th_best)
         refine_trace.append(best_val)
 
-    z = np.atleast_1d(r_best * np.exp(1j * th_best))
-    # the one-point re-evaluation is the certificate; keep the max seen
+    # the one-point re-evaluation of the best sample seen is the
+    # certificate; keep the max seen
+    z = np.atleast_1d(point)
     w = float(weighted(r_best, z)[0])
     return NormEstimate(
         value=w if math.isfinite(w) and w > best_val else best_val,
@@ -322,7 +341,7 @@ def logderiv_field(e: Expr):
         j = eval_jet(e, z, order=1)
         return j.d1 / j.d0
 
-    return as_field(formula)
+    return as_field(formula, conjugate=real_coefficients(e))
 
 
 def bloch_log_sup(g: Expr) -> Sup:

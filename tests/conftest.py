@@ -32,12 +32,21 @@ ALL_MAP_NAMES = fixture_names() + (_COMPLEX_BETA,)
 IDENTITY_SUITE = tuple(name for name in ALL_MAP_NAMES if name != "mobius-gap-a99")
 
 
+def walk_ring(n: int) -> np.ndarray:
+    """The angles the grid walk samples: exp(i theta_j), with angle n - j the
+    conjugate of angle j when n is even."""
+    ring = np.exp(1j * (np.arange(n) * (2.0 * math.pi / n)))
+    if n % 2 == 0:
+        ring[n // 2 + 1 :] = np.conj(ring[1 : n // 2][::-1])
+    return ring
+
+
 def one_call_reference(field, p: int, grid: GridSpec):
     """The whole grid in one field call; first max in (r, theta) order."""
     radii = _radii(0.0, grid.r_max, grid.radial_levels)
-    thetas = np.arange(grid.angular_count) * (2.0 * math.pi / grid.angular_count)
+    ring = walk_ring(grid.angular_count)
     radii = [float(r) for r in radii]
-    rings = [r * np.exp(1j * (thetas[:1] if r == 0.0 else thetas)) for r in radii]
+    rings = [r * (ring[:1] if r == 0.0 else ring) for r in radii]
     zs = np.concatenate(rings)
     weights = np.concatenate([np.full(len(z), (1.0 - r * r) ** p) for r, z in zip(radii, rings)])
     weighted = np.abs(field(zs)) * weights

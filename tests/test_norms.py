@@ -35,6 +35,7 @@ from logharm.norms import (
     bloch_log_sup,
     bloch_norm_log,
     level_walk,
+    logderiv_field,
     pre_schwarzian_norm,
     pre_schwarzian_sup,
     radial_profile,
@@ -44,7 +45,7 @@ from logharm.norms import (
     weighted_sups,
 )
 
-from conftest import build, one_call_reference
+from conftest import build, one_call_reference, walk_ring
 
 SMALL = GridSpec(radial_levels=60, angular_count=64, refine_rounds=2)
 
@@ -183,12 +184,13 @@ def _per_level_walk(level_fn, grid, inner):
     """The walk one level per call: (value, point, level, theta, samples, failed)."""
     radii = _radii(inner, grid.r_max, grid.radial_levels)
     thetas = np.arange(grid.angular_count) * (2.0 * math.pi / grid.angular_count)
+    ring = walk_ring(grid.angular_count)
     best = (-math.inf, 0j, 0, 0.0)
     total = failed = 0
     for i, r in enumerate(radii):
         r = float(r)
         ts = thetas[:1] if r == 0.0 else thetas
-        zs = r * np.exp(1j * ts)
+        zs = r * ring[: len(ts)]
         vals = np.asarray(level_fn(r, zs), dtype=float)
         ok = np.isfinite(vals)
         total += vals.size
@@ -200,22 +202,42 @@ def _per_level_walk(level_fn, grid, inner):
     return best + (total, failed)
 
 
+# the mirrored 64- and 96-rings walk blocks of 64 and 42 levels, the odd
+# 95-ring blocks of 21; none divides the levels after the origin
+BLOCK_GRIDS = (
+    GridSpec(radial_levels=100, angular_count=64),
+    GridSpec(radial_levels=90, angular_count=96),
+    GridSpec(radial_levels=37, angular_count=95),
+)
+
+
 @pytest.mark.parametrize(
     "name, make_field, p",
     [(n, pre_schwarzian_field, 1) for n in fixture_names()] + [("koebe", schwarzian_field, 2)],
 )
 def test_level_blocks_keep_every_witness(name, make_field, p):
-    # 60x64 walks blocks of 32 levels, 37x96 of 21; neither divides the
-    # levels.  c == 0 maps (m = 1 for vanishing-simple) start at r = 0,
-    # c != 0 maps (starlike-vanishing) at the inner radius.
+    # c == 0 maps (m = 1 for vanishing-simple) start at r = 0, c != 0 maps
+    # (starlike-vanishing) at the inner radius
     f = build(name)
     field = make_field(f)
     inner = _INNER_RADIUS if origin_exponent(f) != 0 else 0.0
     level_fn = lambda r, zs: np.abs(field(zs)) * ((1.0 - r * r) ** p)
-    for grid in (SMALL, GridSpec(radial_levels=37, angular_count=96)):
+    for grid in BLOCK_GRIDS:
         (walk,) = level_walk([level_fn], grid, inner)
         got = (walk.value, walk.point, walk.level, walk.theta, walk.samples, walk.failed)
         assert got == _per_level_walk(level_fn, grid, inner)
+
+
+def test_level_blocks_keep_a_lower_half_witness():
+    # g'/g = c/(1 - c z) with complex c peaks at the angle -arg(c), where the
+    # walk samples r conj(ring[n - j])
+    field = logderiv_field(parse("1/(1-(0.78983+0.43148*i)*z)"))
+    level_fn = lambda r, zs: np.abs(field(zs)) * (1.0 - r * r)
+    for grid in BLOCK_GRIDS:
+        (walk,) = level_walk([level_fn], grid)
+        assert walk.theta > math.pi
+        got = (walk.value, walk.point, walk.level, walk.theta, walk.samples, walk.failed)
+        assert got == _per_level_walk(level_fn, grid, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -242,7 +264,7 @@ def test_level_blocks_break_ties_in_r_theta_order():
     # floor(2 Im z) = 1 on every sample with Im z >= 1/2, across levels,
     # angles and blocks; the first of them in (r, theta) order is the witness
     level_fn = lambda r, zs: np.floor(2.0 * zs.imag) + 0.0 * r
-    for grid in (SMALL, GridSpec(radial_levels=37, angular_count=96)):
+    for grid in BLOCK_GRIDS:
         (walk,) = level_walk([level_fn], grid)
         got = (walk.value, walk.point, walk.level, walk.theta, walk.samples, walk.failed)
         assert got == _per_level_walk(level_fn, grid, 0.0)
@@ -410,7 +432,9 @@ def test_norms_of_mixed_orders_from_one_sweep_are_the_separate_norms(name):
 def test_each_block_evaluates_h_once_at_the_highest_order_read(monkeypatch):
     f = build("koebe")
     grid = GridSpec(radial_levels=30, angular_count=512, refine_rounds=0)
-    blocks = 1 + math.ceil((grid.radial_levels - 1) / 4)  # the origin, then 4 levels each
+    # the origin, then 8 levels each: koebe's fields evaluate the mirrored
+    # half of the 512-ring, 8 x 257 points, and h is evaluated on that half
+    blocks = 1 + math.ceil((grid.radial_levels - 1) / 8)
     orders = []
     evaluate = expr._eval
 
