@@ -33,7 +33,7 @@ from .criteria import (
 )
 from .errors import EvaluationError, IoFailure
 from .expr import ExprSyntaxError, parse
-from .fixtures import fixture_names, load_fixture, run_fixture
+from .fixtures import fixture_descriptions, fixture_names, run_fixture
 from .maps import (
     LogHarmonicMap,
     analytic_pre_schwarzian,
@@ -73,13 +73,14 @@ class UsageError(Exception):
 def parse_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        value = complex(*map(float, parts)) if len(parts) in (1, 2) else None
     except ValueError:
-        pass
-    raise UsageError(f"expected a complex number as 're,im' or a bare real, got {text!r}")
+        value = None
+    if value is None:
+        raise UsageError(f"expected a complex number as 're,im' or a bare real, got {text!r}")
+    if not cmath.isfinite(value):
+        raise UsageError(f"expected finite real and imaginary parts, got {text!r}")
+    return value
 
 
 def _jsonable(v):
@@ -469,10 +470,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_fixtures(args) -> int:
     if args.action == "list":
-        rows = [
-            {"name": name, "description": load_fixture(name).description}
-            for name in fixture_names()
-        ]
+        rows = [{"name": name, "description": text} for name, text in fixture_descriptions()]
         _emit({"subcommand": "fixtures", "action": "list", "rows": rows}, args)
         return 0
     if not args.name:

@@ -346,37 +346,25 @@ class _BlockJets:
     """The jets of one block of points, shared by the fields a sweep calls there.
 
     While a sweep holds a block (`shared_jets`), a node that ``eval_jet`` is
-    asked for on that very array, or on an array of a `held_part` of it, is
-    evaluated once per array, at the highest order any field has read it in
-    the sweep so far, and a read at a lower order gets that jet's prefix:
-    the same bits, because jet arithmetic is triangular (see ``jets``).
-    Such a node met inside another expression on the array, as h is inside
-    h*g, is read from here too.
+    asked for on that very array, or on the half held with it, is evaluated
+    once per array, at the highest order any field has read it in the sweep
+    so far, and a read at a lower order gets that jet's prefix: the same
+    bits, because jet arithmetic is triangular (see ``jets``).  Such a node
+    met inside another expression on the array, as h is inside h*g, is read
+    from here too.
     """
 
     def __init__(self):
-        self.block = None
-        # id -> array, for the block and the arrays of its parts
-        self.arrays: dict[int, object] = {}
-        self.parts: dict = {}
+        self.block = self.half = None
         self.jets: dict[tuple[int, int], Jet] = {}  # (id of array, id of node)
         # id -> (node, highest order read); holding the node keeps its id
         self.orders: dict[int, tuple[Expr, int]] = {}
 
-    def hold(self, block) -> None:
-        self.block, self.jets, self.parts = block, {}, {}
-        self.arrays = {id(block): block}
+    def hold(self, block, half=None) -> None:
+        self.block, self.half, self.jets = block, half, {}
 
     def holds(self, p) -> bool:
-        return self.arrays.get(id(p)) is p
-
-    def part(self, make):
-        if make not in self.parts:
-            made = self.parts[make] = make(self.block)
-            for a in made if isinstance(made, tuple) else (made,):
-                if a is not None:
-                    self.arrays[id(a)] = a
-        return self.parts[make]
+        return p is self.block or p is self.half
 
     def read(self, e: Expr, p, order: int) -> Jet:
         key = (id(p), id(e))
@@ -395,10 +383,12 @@ _held: _BlockJets | None = None
 def shared_jets():
     """Share jets between the fields called on one block of points at a time.
 
-    Yields ``hold(block)``: from that call on until the next, every field
-    that evaluates an expression at exactly the array ``block``, or at an
-    array of a `held_part` of it, shares one jet of it per array.  Leaving
-    the context drops every jet.
+    Yields ``hold(block, half=None)``: from that call on until the next,
+    every field that evaluates an expression at exactly the array ``block``,
+    or at the array ``half``, shares one jet of it per array.  ``half`` is
+    the upper half of a mirrored block, columns 0..n/2 of it, for the fields
+    that evaluate only that (`held_half`).  Leaving the context drops every
+    jet.
     """
     global _held
     outer, _held = _held, _BlockJets()
@@ -408,15 +398,12 @@ def shared_jets():
         _held = outer
 
 
-def held_part(z, make):
-    """``make(z)``, made once per hold and kept until the next when z is the
-    held block: the arrays it returns (one, a tuple of them, or None) are
-    then the same objects for every field, and share their jets as the block
-    does.  For any other z it is made afresh."""
+def held_half(z):
+    """The half held with z when z is the held block, else None: columns
+    0..n/2 of a block whose column n - j is the conjugate of column j, as
+    the walk holds it (`norms.level_walk`)."""
     held = _held
-    if held is not None and z is held.block:
-        return held.part(make)
-    return make(z)
+    return held.half if held is not None and z is held.block else None
 
 
 def _eval(e: Expr, zjet: Jet, share: bool = True) -> Jet:
@@ -479,8 +466,8 @@ def eval_jet(e: Expr, p, order: int = 3) -> Jet:
 
     p may be a complex scalar (pole conditions raise) or a numpy array of
     points (lift the formula with ``maps.as_field`` to mask non-finite entries).
-    Inside ``shared_jets``, the jet at the held block, or at an array of a
-    `held_part` of it, is shared.
+    Inside ``shared_jets``, the jet at the held block, or at the half held
+    with it, is shared.
     """
     try:
         held = _held

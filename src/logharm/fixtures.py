@@ -91,6 +91,11 @@ def fixture_names() -> tuple[str, ...]:
     return tuple(item["name"] for item in _catalog())
 
 
+def fixture_descriptions() -> tuple[tuple[str, str], ...]:
+    """(name, description) of each entry, read without building its map."""
+    return tuple((item["name"], item["description"]) for item in _catalog())
+
+
 def _copy_check(check: dict) -> dict:
     # a check's values are text, numbers, booleans and lists of numbers
     return {k: list(v) if isinstance(v, list) else v for k, v in check.items()}

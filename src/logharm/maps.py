@@ -64,7 +64,7 @@ from .errors import (
     NotSensePreserving,
     PoleEncountered,
 )
-from .expr import Expr, eval_jet, held_part, parse, real_coefficients
+from .expr import Expr, eval_jet, held_half, parse, real_coefficients
 from .jets import Jet, zpow_jet
 
 ORIGIN_RADIUS = 1e-8  # derivative ops stay outside this disk when c != 0
@@ -84,6 +84,8 @@ class LogHarmonicMap:
             raise ValueError("vanishing order m must be a non-negative integer")
         beta = complex(self.beta)
         object.__setattr__(self, "beta", beta)
+        if not cmath.isfinite(beta):
+            raise ValueError(f"beta must be finite, got {beta}")
         if beta.real <= -0.5:
             raise ValueError(f"Re(beta) must exceed -1/2, got {beta}")
         with np.errstate(all="ignore"):  # an overflow reads inf, not a warning
@@ -216,30 +218,6 @@ _FAILURES = (ZeroDivisionError, OverflowError, PoleEncountered)
 _CHUNK_POINTS = 8192
 
 
-def _mirror_half(z):
-    """Columns 0..n/2 of a 2-D z of even width n >= 4, as a new array, when
-    column n - j is the conjugate of column j bit for bit (0 < j < n/2) on
-    every row; else None."""
-    n = z.shape[1]
-    if n % 2 or n < 4:
-        return None
-    h = n // 2
-    twin = np.conjugate(z[:, h - 1 : 0 : -1])
-    if not np.array_equal(z[:, h + 1 :].view(np.uint64), twin.view(np.uint64)):
-        return None
-    return np.ascontiguousarray(z[:, : h + 1])
-
-
-def _row_halves(z):
-    """A 2-D z of even width as its two row halves, so that a formula call
-    on either has about as many points as one on z's mirrored half; other
-    shapes whole."""
-    rows = z.shape[0]
-    if z.shape[1] % 2 or rows < 2:
-        return (z,)
-    return z[: (rows + 1) // 2], z[(rows + 1) // 2 :]
-
-
 def _unfold(v, n: int, real: bool):
     """The values on n columns from those v on columns 0..n/2 of a mirrored
     block: column n - j is the conjugate of column j, or its copy for a real
@@ -276,20 +254,18 @@ def as_field(formula, real: bool = False, conjugate: bool = False):
     ``conjugate`` declares that formula(conj z) = conj formula(z), for a
     field whose data have real coefficients (`_real_data`,
     ``expr.real_coefficients``); the field constructor decides it from its
-    inputs.  Such a field, given a 2-D block whose column n - j is the
-    conjugate of column j bit for bit on every row (`_mirror_half`, as on
-    `norms.level_walk`'s rings of even size), runs the formula only on
-    columns 0..n/2 and fills the others by conjugation, or by copying for a
-    real margin.  Any other 2-D block of even width is evaluated in its two
-    row halves, so a formula call has about as many points either way.  For
-    the block that `expr.shared_jets` holds, the half and the row halves are
-    made once per hold (`expr.held_part`), so the fields of a sweep still
-    share their jets.
+    inputs.  Such a field, given the block that `expr.shared_jets` holds
+    with its mirrored half (``expr.held_half``, as `norms.level_walk` holds
+    the blocks of its rings of even size), runs the formula only on that
+    half, columns 0..n/2, and fills the other columns by conjugation, or by
+    copying for a real margin.  Every other field, and every other z, is
+    evaluated whole.  The fields of a sweep read the same half object, so
+    they still share its jets.
 
-    On every path a zero part is written as +0 before the NaN mask, so a
-    point's bits never depend on which half computed them: conjugation
-    flips the sign of a zero imaginary part, and the formula's own zeros
-    may carry either sign.
+    On both paths a zero part is written as +0 before the NaN mask, so a
+    point's bits do not depend on whether it was computed or mirrored:
+    conjugation flips the sign of a zero imaginary part, and the formula's
+    own zeros may carry either sign.
 
     More than ``_CHUNK_POINTS`` points are evaluated in consecutive chunks of
     that many points of the flattened z.  No temporary inside a formula is
@@ -322,16 +298,10 @@ def as_field(formula, real: bool = False, conjugate: bool = False):
     def field(z):
         z = np.asarray(z, dtype=complex)
         with np.errstate(all="ignore"):
-            if z.ndim != 2:
+            half = held_half(z) if conjugate else None
+            if half is None:
                 return chunked(z, finish)
-            if conjugate:
-                half = held_part(z, _mirror_half)
-                if half is not None:
-                    return finish(_unfold(chunked(half, np.asarray), z.shape[1], real))
-            parts = held_part(z, _row_halves)
-            if len(parts) == 1:
-                return chunked(z, finish)
-            return np.concatenate([chunked(part, finish) for part in parts])
+            return finish(_unfold(chunked(half, np.asarray), z.shape[1], real))
 
     return field
 

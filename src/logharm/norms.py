@@ -15,11 +15,12 @@ first-index tie-break, so every witness is deterministic.  It calls each
 field once per block of consecutive levels, and on the origin sample on
 its own.  A ring of even size n is mirrored, ring[n - j] = conj(ring[j]),
 with its upper half exp(i theta_j) as computed, so a lower-half sample is
-r conj(ring[n - j]).  A field whose data have real coefficients then
-evaluates only columns 0..n/2 of a block and fills the rest by
-conjugation (`maps.as_field`); any other field evaluates the block in two
-row halves.  Either way a formula call sees about `_BLOCK_POINTS` points:
-8 levels of a 512-ring are 8 x 257 evaluated points.
+r conj(ring[n - j]).  The walk holds each block of such a ring together
+with its upper half, columns 0..n/2 (`expr.shared_jets`): a field whose
+data have real coefficients evaluates only that half and fills the rest
+by conjugation (`maps.as_field`), and any other field evaluates the whole
+block.  A block holds 8 levels of a 512-ring, so its half is about
+`_BLOCK_POINTS` points, 8 x 257.
 
 Norms that share a grid read one walk (`weighted_sups`): every field is
 still called on every block, but the fields share the jets of h, g and any
@@ -51,10 +52,11 @@ from .maps import (
     LogHarmonicMap, as_field, origin_exponent, pre_schwarzian_field, schwarzian_field
 )
 
-# points per formula call of the sweep, the fastest measured on the default
-# grid: a block of the 512-ring holds 8 levels, of which a real-coefficient
-# field evaluates 8 x 257 points and any other field two row halves of
-# 4 x 512 (`maps.as_field`); a block of an odd ring holds 2048 points
+# points per block of the sweep, counted on a ring's mirrored half, the
+# fastest measured on the default grid: a block of the 512-ring holds 8
+# levels, of which a real-coefficient field evaluates the half, 8 x 257
+# points, and any other field all 8 x 512 (`maps.as_field`); a block of an
+# odd ring holds 2048 points
 _BLOCK_POINTS = 2048
 # each zoom round is one call on this many points and keeps the two cells
 # around the best one, so _ZOOM_ROUNDS rounds shrink a bracket by ~31.5^5
@@ -179,8 +181,8 @@ def level_walk(level_fns, grid: GridSpec, inner: float = 0.0):
     ties, so the witness is deterministic and does not depend on the block
     size.  The origin level is a single sample, evaluated on its own.  A
     ring of even size is mirrored, its upper half exp(i theta) bit for bit,
-    and a block holds about `_BLOCK_POINTS` points of its half (see the
-    module docstring).  Every function is called on each block in list
+    and each block of it is held with the points of that half, about
+    `_BLOCK_POINTS` of them (see the module docstring).  Every function is called on each block in list
     order, and the functions share the block's jets (`expr.shared_jets`),
     so each returns the same bits as when walked alone.  `AllSamplesFailed`
     is raised when every sample of any one function failed.
@@ -189,32 +191,35 @@ def level_walk(level_fns, grid: GridSpec, inner: float = 0.0):
     n = grid.angular_count
     thetas = np.arange(n) * (2.0 * math.pi / n)
     ring = np.exp(1j * thetas)
+    upper = None
     if n % 2 == 0:
-        # ring[n - j] = conj(ring[j]); a real-coefficient field evaluates
-        # columns 0..n/2 of a block (`maps.as_field`)
+        # ring[n - j] = conj(ring[j]): a block is held with its columns
+        # 0..n/2, from which a real-coefficient field mirrors the rest
+        # (`maps.as_field`)
         np.conjugate(ring[n // 2 - 1 : 0 : -1], out=ring[n // 2 + 1 :])
+        upper = ring[: n // 2 + 1]
     step = max(1, _BLOCK_POINTS // (n // 2 if n % 2 == 0 else n))
     first = 1 if radii[0] == 0.0 else 0
-    blocks = [(0, 1, ring[:1])] if first else []
-    blocks += [(i, i + step, ring) for i in range(first, len(radii), step)]
+    blocks = [(0, 1, ring[:1], None)] if first else []
+    blocks += [(i, i + step, ring, upper) for i in range(first, len(radii), step)]
     best = [(-math.inf, 0j, 0, 0.0)] * len(level_fns)
     total, failed = [0] * len(level_fns), [0] * len(level_fns)
     with shared_jets() as hold:
-        for lo, hi, angles in blocks:
+        for lo, hi, angles, half in blocks:
             r = radii[lo:hi, None]
             zs = r * angles
-            hold(zs)
-            for n, level_fn in enumerate(level_fns):
+            hold(zs, None if half is None else r * half)
+            for w, level_fn in enumerate(level_fns):
                 vals = np.asarray(level_fn(r, zs), dtype=float)
                 ok = np.isfinite(vals)
-                total[n] += vals.size
-                failed[n] += int(vals.size - np.count_nonzero(ok))
+                total[w] += vals.size
+                failed[w] += int(vals.size - np.count_nonzero(ok))
                 if not ok.any():
                     continue
                 k = int(np.argmax(np.where(ok, vals, -math.inf)))
                 i, j = divmod(k, zs.shape[1])
-                if vals.flat[k] > best[n][0]:
-                    best[n] = (float(vals.flat[k]), complex(zs[i, j]), lo + i, float(thetas[j]))
+                if vals.flat[k] > best[w][0]:
+                    best[w] = (float(vals.flat[k]), complex(zs[i, j]), lo + i, float(thetas[j]))
     if any(bad == all_ for bad, all_ in zip(failed, total)):
         raise AllSamplesFailed("every grid sample failed to evaluate")
     return [Walk(*b, radii, all_, bad) for b, all_, bad in zip(best, total, failed)]

@@ -21,6 +21,7 @@ from logharm.criteria import (
     starlike_check,
 )
 from logharm.expr import parse
+from logharm.fixtures import fixture_names, load_fixture
 from logharm.maps import (
     LogHarmonicMap,
     analytic_pre_schwarzian,
@@ -74,6 +75,30 @@ def test_parse_complex_forms():
     for bad in ("abc", "1,2,3", "", "1;2"):
         with pytest.raises(UsageError):
             parse_complex(bad)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "0,nan", "nan,0", "1,-inf", "1e400"])
+def test_parse_complex_rejects_non_finite_parts(text):
+    with pytest.raises(UsageError, match="finite"):
+        parse_complex(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--kind", "pre", "--m", "1", "--beta", "nan", "--h", "1/(1-z)", "--g", "1",
+         "--radial-levels", "20"],
+        ["eval", "--op", "map-value", "--h", "z/(1-z)", "--g", "1/(1-z)", "--beta", "nan",
+         "--z", "0.3"],
+        ["eval", "--op", "preschwarzian", "--expr", "z", "--z", "inf"],
+        ["norm", "--kind", "hg-eps", "--h", "z/(1-z)", "--g", "1/(1-z)", "--eps", "inf",
+         "--radial-levels", "20"],
+    ],
+)
+def test_non_finite_inputs_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert json.loads(err)["error"]["type"] == "usage"
 
 
 def test_eval_preschwarzian_at_origin(capsys):
@@ -300,6 +325,19 @@ def test_fixtures_list(capsys):
     names = [row["name"] for row in report["rows"]]
     assert "gap-one-sharp" in names
     assert len(names) == len(set(names)) >= 11
+
+
+def test_fixtures_list_builds_no_map(capsys, monkeypatch):
+    built = []
+    init = LogHarmonicMap.__post_init__
+    monkeypatch.setattr(LogHarmonicMap, "__post_init__", lambda f: built.append(f) or init(f))
+    code, out, _ = run(capsys, "fixtures", "list")
+    assert code == 0 and not built
+    # the bytes of the list as read from each loaded fixture
+    rows = [{"name": n, "description": load_fixture(n).description} for n in fixture_names()]
+    assert built
+    assert out == json.dumps({"subcommand": "fixtures", "action": "list", "rows": rows},
+                             indent=2) + "\n"
 
 
 def test_fixtures_run_small_fixture(capsys):

@@ -77,6 +77,16 @@ def test_constructor_rejects_bad_beta():
     LogHarmonicMap.from_strings(1, -0.49, "1/(1-z)", "1")
 
 
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize(
+    "beta", [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(1, math.inf)]
+)
+def test_constructor_rejects_non_finite_beta(m, beta):
+    # Re(nan) <= -1/2 is False, so only a finiteness test refuses these
+    with pytest.raises(ValueError, match="finite"):
+        LogHarmonicMap.from_strings(m, beta, "z/(1-z)" if m == 0 else "1/(1-z)", "1")
+
+
 def test_constructor_normalization_when_vanishing():
     with pytest.raises(ValueError):
         LogHarmonicMap.from_strings(1, 0, "1/(1-z)", "2-z")  # g(0) != 1

@@ -1,10 +1,12 @@
 """Half-ring evaluation of real-coefficient fields on the walk's mirrored rings.
 
-A field whose data have real coefficients runs its formula on columns
-0..n/2 of a block whose column n - j is the conjugate of column j, and
-fills the other columns by conjugation (`maps.as_field`).  These tests hold
-that path to the direct evaluation bit for bit, check where it must not be
-taken, and pin the ring and the certificate that it depends on.
+The walk holds each block of a ring of even size with its upper half,
+columns 0..n/2, of which column n - j of the block is the conjugate of
+column j.  A field whose data have real coefficients runs its formula on
+that half and fills the other columns by conjugation (`maps.as_field`).
+These tests hold that path to the direct evaluation bit for bit, check
+where it must not be taken, and pin the ring, the held half and the
+certificate that it depends on.
 """
 from __future__ import annotations
 
@@ -130,18 +132,29 @@ def _fields(f: LogHarmonicMap, omega, monkeypatch):
     return out
 
 
+def _walk_holds(grid: GridSpec, inner: float) -> list:
+    """(block, half) for each block `level_walk` holds, without the origin's
+    one sample: the half it is held with, or None."""
+    holds = []
+
+    def record(r, zs):
+        holds.append((zs, expr.held_half(zs)))
+        return np.zeros(zs.shape)
+
+    level_walk([record], grid, inner)
+    return [(zs, half) for zs, half in holds if zs.shape[1] > 1]
+
+
 def _walk_blocks(grid: GridSpec, inner: float) -> list:
     """The blocks `level_walk` holds, without the origin's one sample."""
-    blocks = []
-    level_walk([lambda r, zs: blocks.append(zs) or np.zeros(zs.shape)], grid, inner)
-    return [zs for zs in blocks if zs.shape[1] > 1]
+    return [zs for zs, _ in _walk_holds(grid, inner)]
 
 
-# every block of the 40x512 walks, and every sixth of the 200x512 walks
+# every hold of the 40x512 walks, and every sixth of the 200x512 walks
 # (the first and the last among them), from the origin and from the inner
-# radius: 20 blocks of 8 x 512 points
-BLOCKS = {
-    (levels, inner): _walk_blocks(GridSpec(radial_levels=levels), inner)[::stride]
+# radius: 20 blocks of 8 x 512 points, each with its half of 8 x 257
+HOLDS = {
+    (levels, inner): _walk_holds(GridSpec(radial_levels=levels), inner)[::stride]
     for levels, stride in ((200, 6), (40, 1))
     for inner in (0.0, _INNER_RADIUS)
 }
@@ -154,14 +167,20 @@ def _bits(v) -> bytes:
 _UNFOLD = maps._unfold
 
 
-def _values(fields, blocks) -> list:
-    """Each field on each block, as the walk holds it; a raise is kept as
-    its type and witness."""
+def _unfold_calls(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(maps, "_unfold", lambda *a: calls.append(1) or _UNFOLD(*a))
+    return calls
+
+
+def _values(fields, holds) -> list:
+    """Each field on each block, held as given; a raise is kept as its type
+    and witness."""
     out = []
     for label, field in fields:
-        for zs in blocks:
+        for zs, half in holds:
             with shared_jets() as hold:
-                hold(zs)
+                hold(zs, half)
                 try:
                     out.append((label, _bits(field(zs))))
                 except ZeroEncountered as exc:  # a zero of h or g
@@ -174,24 +193,16 @@ def test_mirrored_equals_direct_bit_for_bit(name, f, monkeypatch):
     assert maps._real_data(f)
     omega = load_fixture(name).omega if name in fixture_names() else None
     fields = _fields(f, omega, monkeypatch)
-    blocks = [zs for blocks in BLOCKS.values() for zs in blocks]
-    unfolded = []
-    monkeypatch.setattr(maps, "_unfold", lambda *a: unfolded.append(1) or _UNFOLD(*a))
-    mirrored = _values(fields, blocks)
-    assert len(unfolded) >= len(blocks) * (len(fields) - 1)
-    # the same blocks with the mirror off: each row half in one call
-    monkeypatch.setattr(maps, "_mirror_half", lambda z: None)
+    holds = [hold for holds in HOLDS.values() for hold in holds]
+    unfolded = _unfold_calls(monkeypatch)
+    mirrored = _values(fields, holds)
+    assert len(unfolded) >= len(holds) * (len(fields) - 1)
+    # the same blocks held without their half: each block whole in one call
     unfolded.clear()
-    direct = _values(fields, blocks)
+    direct = _values(fields, [(zs, None) for zs, _ in holds])
     assert not unfolded
     for m, d in zip(mirrored, direct):
         assert m == d, m[0]
-
-
-def _unfold_calls(monkeypatch) -> list:
-    calls = []
-    monkeypatch.setattr(maps, "_unfold", lambda *a: calls.append(1) or _UNFOLD(*a))
-    return calls
 
 
 COMPLEX_LITERAL = LogHarmonicMap.from_strings(0, 0, "(0.5-0.4*i)*z", "1+0.3*z")
@@ -271,12 +282,15 @@ def test_the_walk_ring_is_mirrored(n):
     thetas = np.arange(n) * (2.0 * math.pi / n)
     h = n // 2
     seen = 0
-    for zs in _walk_blocks(grid, 0.0) + _walk_blocks(grid, _INNER_RADIUS):
+    for zs, half in _walk_holds(grid, 0.0) + _walk_holds(grid, _INNER_RADIUS):
         r = np.abs(zs[:, :1])  # the first column is r + 0j
         assert _bits(zs[:, 0].imag) == _bits(np.zeros(len(zs)))
         # the upper half is r exp(i theta) bit for bit, as on an unmirrored ring
         assert _bits(zs[:, : h + 1]) == _bits(r * np.exp(1j * thetas[: h + 1]))
         assert _bits(zs[:, h + 1 :]) == _bits(np.conj(zs[:, h - 1 : 0 : -1]))
+        # and the block is held with those very points
+        assert half.shape == (len(zs), h + 1)
+        assert _bits(half) == _bits(zs[:, : h + 1])
         seen += len(zs)
     assert seen == 39 + 40
 
@@ -284,8 +298,9 @@ def test_the_walk_ring_is_mirrored(n):
 def test_odd_ring_is_exp_itheta():
     n = 63
     thetas = np.arange(n) * (2.0 * math.pi / n)
-    for zs in _walk_blocks(GridSpec(radial_levels=20, angular_count=n), 0.0):
+    for zs, half in _walk_holds(GridSpec(radial_levels=20, angular_count=n), 0.0):
         assert _bits(zs) == _bits(np.abs(zs[:, :1]) * np.exp(1j * thetas))
+        assert half is None
 
 
 def test_certificate_reevaluates_a_lower_half_witness():
@@ -304,26 +319,40 @@ def test_certificate_reevaluates_a_lower_half_witness():
     assert est.value == walk.value
 
 
-def test_unmirrored_fields_share_jets_on_each_row_half(monkeypatch):
-    f = COMPLEX_LITERAL
-    grid = GridSpec(radial_levels=30, angular_count=512, refine_rounds=0)
-    shapes = []
+def _held_h_calls(f: LogHarmonicMap, monkeypatch) -> list:
+    """(shape, order) of each evaluation of f's h on a held array."""
+    calls = []
     evaluate = expr._eval
 
     def counting(e, zjet, share=True):
         if e is f.h and not share:
-            shapes.append((np.shape(zjet.coeffs[0]), zjet.order))
+            calls.append((np.shape(zjet.coeffs[0]), zjet.order))
         return evaluate(e, zjet, share)
 
     monkeypatch.setattr(expr, "_eval", counting)
+    return calls
+
+
+def test_unmirrored_fields_evaluate_h_once_per_whole_block(monkeypatch):
+    f = COMPLEX_LITERAL
+    grid = GridSpec(radial_levels=30, angular_count=512, refine_rounds=0)
+    shapes = _held_h_calls(f, monkeypatch)
     weighted_sups([schwarzian_sup(f), pre_schwarzian_sup(f)], grid)
-    # h once per row half of each 8-level block, at the highest order read:
-    # 4 x 512 points a call, as many as a mirrored half of 8 x 257
-    blocks = math.ceil((grid.radial_levels - 1) / 8)
-    assert shapes[0] == ((1, 1), 3)
-    assert shapes[1:3] == [((4, 512), 3)] * 2
-    assert shapes[-2:] == [((3, 512), 3), ((2, 512), 3)]  # the last block has 5 levels
-    assert len(shapes) == 1 + 2 * blocks
+    # h once per 8-level block, on all its 8 x 512 points, at the highest
+    # order read; the last block has 5 levels
+    assert shapes == [((1, 1), 3)] + [((8, 512), 3)] * 3 + [((5, 512), 3)]
+
+
+def test_a_mixed_walk_evaluates_h_once_on_each_held_array(monkeypatch):
+    # P_f and the Bloch norm are mirrored, the member of a complex eps is not
+    f = LogHarmonicMap.from_strings(0, 0, "z/(1-z)", "1/(1-z)")
+    calls = _held_h_calls(f, monkeypatch)
+    criteria.epsilon_norm_gap_check(f, 0.5 + 0.5j, GridSpec(refine_rounds=0))
+    # the origin, then each of the 25 blocks of up to 8 levels: once on its
+    # half for P_f (the Bloch norm reads only g) and once whole for the member
+    blocks = math.ceil((GridSpec().radial_levels - 1) / 8)
+    assert len(calls) == 1 + 2 * blocks == 51
+    assert [shape[1] for shape, _ in calls] == [1] + [257, 512] * blocks
 
 
 def test_schwarz_pick_reads_max_modulus_from_its_one_walk(monkeypatch):
