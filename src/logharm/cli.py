@@ -124,7 +124,11 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--angular", type=int, default=512)
     p.add_argument("--r-max", type=float, default=1 - 1e-6, dest="r_max")
-    p.add_argument("--refine", type=int, default=3)
+    p.add_argument(
+        "--refine", type=int, default=3,
+        help="refine rounds after the sweep, each of up to 10 calls on an 8 x 8 patch "
+        "around the best point (default 3)",
+    )
 
 
 def _add_output_flags(p: argparse.ArgumentParser, default_format: str = "json") -> None:

@@ -92,6 +92,10 @@ class LogHarmonicMap:
             hj = eval_jet(self.h, 0j, order=1)
             g0 = complex(eval_jet(self.g, 0j, order=0).d0)
         h0 = complex(hj.d0)
+        # abs() is NaN only for a NaN value: an overflow, inf + nan j among
+        # them, has abs() inf and stays accepted
+        if cmath.isnan(abs(h0)) or cmath.isnan(abs(g0)):
+            raise ValueError(f"h(0) and g(0) must not be NaN, got {h0} and {g0}")
         if self.m >= 1:
             if abs(g0 - 1) > 1e-9:
                 raise ValueError(f"g(0) must be 1 for m >= 1, got {g0}")
@@ -100,8 +104,9 @@ class LogHarmonicMap:
         else:
             if abs(g0) <= 1e-12:
                 raise ValueError("g(0) must be nonzero for m = 0")
-            if abs(h0) <= 1e-12 and abs(complex(hj.d1)) <= 1e-12:
-                # h may vanish at 0 only simply (local univalence of h)
+            if abs(h0) <= 1e-12 and not abs(complex(hj.d1)) > 1e-12:
+                # h may vanish at 0 only simply (local univalence of h), so
+                # h'(0) must then be a nonzero number, not NaN
                 raise ValueError("h must have h(0) != 0 or h'(0) != 0 for m = 0")
 
     @classmethod

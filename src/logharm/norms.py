@@ -3,9 +3,9 @@
 Estimates sup over |z| < 1 of (1 - |z|^2)^p |field(z)| (p = 1 for
 pre-Schwarzian and Bloch norms, p = 2 for the Schwarzian norm) by a polar
 grid sweep whose radii approach the boundary geometrically, followed by
-zoom refinement around the best sample.  Every reported value is a
+a patch search around the best sample.  Every reported value is a
 certified lower bound of the supremum: it is the weighted magnitude of the
-field at the reported argmax, the exact sample or zoom point that gave the
+field at the reported argmax, the exact sample or patch point that gave the
 best value, re-evaluated at that one point at the end.
 No upper-bound certification is attempted.
 
@@ -29,12 +29,17 @@ estimate is bit for bit the one it has alone.  A map whose norms diverge
 walks its punctured annulus separately from the norms of the same map that
 start at the origin.
 
-Each field is then refined on its own, in rounds of a radial and an
-angular zoom search.  A search makes `_ZOOM_ROUNDS` calls of the field on
-`_ZOOM_POINTS` evenly spaced points, and is skipped when its inputs are
-those of its last run (the radial bracket and theta, or the point r
-theta), since it would find that run's point again and cannot beat the
-best value.  So once a round moves nothing, every later round is skipped.
+Each field is then refined on its own by a patch search in (u, theta),
+u = -log(1 - r), in which the levels are evenly spaced.  Each call
+evaluates the field on an 8 x 8 patch, with u clipped to the swept band.
+The patch starts at the walk's best sample, one level step and one
+angular step wide on each side.  A point that beats the best value so far
+recentres it, and each axis then shrinks by 3 where that point is inside
+the patch, or doubles, up to 8 grid steps, where it is on the edge: so the
+patch can follow a ridge that runs diagonally across the grid cells.  A
+call that finds no better point shrinks both axes by 6.  A refine round
+makes at most `_PATCH_CALLS` calls, and the refine stops once both
+half-widths are `_PATCH_TOL` of their grid steps.
 """
 from __future__ import annotations
 
@@ -58,11 +63,12 @@ from .maps import (
 # points, and any other field all 8 x 512 (`maps.as_field`); a block of an
 # odd ring holds 2048 points
 _BLOCK_POINTS = 2048
-# each zoom round is one call on this many points and keeps the two cells
-# around the best one, so _ZOOM_ROUNDS rounds shrink a bracket by ~31.5^5
-_ZOOM_POINTS = 64
-_ZOOM_ROUNDS = 5
-_ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
+# a patch's offsets from its centre along each axis, in half-widths; a
+# 64-point call costs about as much as a 1-point call, so the refine's cost
+# is its call count, at most _PATCH_CALLS a round (30 at the default 3)
+_PATCH = np.linspace(-1.0, 1.0, 8)
+_PATCH_CALLS = 10
+_PATCH_TOL = 1e-6
 
 # inner radius of the punctured annulus swept when the origin is singular,
 # and by the checks that never sample the origin itself
@@ -76,7 +82,9 @@ def _check_r_max(r_max: float) -> None:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Polar sampling schedule; defaults give just over 1e5 samples."""
+    """Polar sampling schedule; defaults give just over 1e5 samples.  The
+    sweep's best sample is then refined for ``refine_rounds`` rounds, each
+    of up to 10 field calls on an 8 x 8 patch (see the module docstring)."""
 
     radial_levels: int = 200
     r_max: float = 1 - 1e-6
@@ -120,41 +128,9 @@ def _radii(inner: float, r_max: float, n: int) -> np.ndarray:
 
 def _weighted(field, p: int, r, z):
     """(1 - r^2)^p |field(z)| at the points z of modulus r, r broadcasting
-    against z: the one value that the walk, the zooms and the certificate
+    against z: the one value that the walk, the patch and the certificate
     read.  It is NaN where the field fails."""
     return (1.0 - r * r) ** p * np.abs(field(z))
-
-
-def _zoom_grid(a: float, b: float) -> np.ndarray:
-    """``np.linspace(a, b, _ZOOM_POINTS)`` bit for bit, at a fifth of its
-    cost: the same step, products and sum.  linspace differs only for a
-    nonzero width whose step underflows to zero, far below any bracket."""
-    xs = _ZOOM_STEPS * ((b - a) / (_ZOOM_POINTS - 1))
-    xs += a
-    xs[-1] = b
-    return xs
-
-
-def _zoom_max(weighted, a: float, b: float, r=None, theta=None):
-    """(x, value) at the first best point found in [a, b]: x is the radius
-    at the angle ``theta``, or the angle at the radius ``r``.
-
-    Each round is one call of ``weighted(r, z)`` on _ZOOM_POINTS evenly
-    spaced points of the bracket, which then shrinks to the two cells
-    around the round's first best point.  Values that are not finite are
-    skipped.
-    """
-    best = (a, -math.inf)
-    for _ in range(_ZOOM_ROUNDS):
-        xs = _zoom_grid(a, b)
-        rs, ts = (xs, theta) if r is None else (r, xs)
-        ys = weighted(rs, rs * np.exp(1j * ts))
-        ys = np.where(np.isfinite(ys), ys, -math.inf)
-        j = int(np.argmax(ys))
-        if ys[j] > best[1]:
-            best = (float(xs[j]), float(ys[j]))
-        a, b = float(xs[max(j - 1, 0)]), float(xs[min(j + 1, _ZOOM_POINTS - 1)])
-    return best
 
 
 class Walk(NamedTuple):
@@ -226,38 +202,33 @@ def level_walk(level_fns, grid: GridSpec, inner: float = 0.0):
 
 
 def _refine(weighted, walk: Walk, grid: GridSpec, inner: float, diverged: bool) -> NormEstimate:
-    radii, best_level, best_val, th_best = walk.radii, walk.level, walk.value, walk.theta
-    r_best, point = float(radii[best_level]), walk.point
-    dtheta = 2.0 * math.pi / grid.angular_count
+    # in u = -log(1 - r) the levels are one step du apart
+    u_lo, u_hi = -math.log1p(-inner), -math.log1p(-grid.r_max)
+    du, dtheta = (u_hi - u_lo) / (grid.radial_levels - 1), 2.0 * math.pi / grid.angular_count
+    best_val, point, r_best = walk.value, walk.point, float(walk.radii[walk.level])
+    u, theta, hu, ht = -math.log1p(-r_best), walk.theta, du, dtheta
+    edge = (0, _PATCH.size - 1)
     refine_trace = [best_val]
-    # a zoom whose inputs have not moved since its last run would find that
-    # run's point again, which cannot beat best_val, so it is skipped
-    last_r = last_theta = None
 
     for _ in range(grid.refine_rounds):
-        lo = float(radii[best_level - 1]) if best_level > 0 else inner
-        hi = (
-            float(radii[best_level + 1])
-            if best_level + 1 < len(radii)
-            else grid.r_max
-        )
-        if (lo, hi, th_best) != last_r:
-            last_r = (lo, hi, th_best)
-            r_new, v_r = _zoom_max(weighted, lo, hi, theta=th_best)
-            if v_r > best_val:
-                best_val, r_best = v_r, r_new
-                point = r_best * np.exp(1j * th_best)
-                while best_level + 1 < len(radii) and radii[best_level + 1] < r_best:
-                    best_level += 1
-                while best_level > 0 and radii[best_level] > r_best:
-                    best_level -= 1
-
-        if (r_best, th_best) != last_theta:
-            last_theta = (r_best, th_best)
-            th_new, v_t = _zoom_max(weighted, th_best - dtheta, th_best + dtheta, r=r_best)
-            if v_t > best_val:
-                best_val, th_best = v_t, th_new
-                point = r_best * np.exp(1j * th_best)
+        for _ in range(_PATCH_CALLS):
+            if hu <= _PATCH_TOL * du and ht <= _PATCH_TOL * dtheta:
+                break
+            us = np.minimum(np.maximum(u + hu * _PATCH, u_lo), u_hi)
+            ts = theta + ht * _PATCH
+            rs = -np.expm1(-us)[:, None]
+            zs = rs * np.exp(1j * ts)
+            ys = weighted(rs, zs)
+            ys = np.where(np.isfinite(ys), ys, -math.inf)
+            k = int(np.argmax(ys))
+            if ys.flat[k] <= best_val:
+                hu, ht = hu / 6.0, ht / 6.0
+                continue
+            i, j = divmod(k, _PATCH.size)
+            best_val, point, r_best = float(ys.flat[k]), complex(zs[i, j]), float(rs[i, 0])
+            u, theta = float(us[i]), float(ts[j])
+            hu = min(2.0 * hu, 8.0 * du) if i in edge else hu / 3.0
+            ht = min(2.0 * ht, 8.0 * dtheta) if j in edge else ht / 3.0
         refine_trace.append(best_val)
 
     # the one-point re-evaluation of the best sample seen is the

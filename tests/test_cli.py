@@ -101,6 +101,18 @@ def test_non_finite_inputs_are_usage_errors(capsys, argv):
     assert json.loads(err)["error"]["type"] == "usage"
 
 
+@pytest.mark.parametrize("op", [["eval", "--op", "map-value", "--z", "0.3"],
+                                ["norm", "--kind", "pre", "--radial-levels", "20"]])
+def test_a_nan_at_the_origin_is_a_usage_error(capsys, op):
+    # g = inf - inf + 1 is NaN at 0; map-value used to print null, and the
+    # norm reported AllSamplesFailed
+    code, out, err = run(capsys, *op, "--m", "1", "--h", "1/(1-z)",
+                         "--g", "exp(1000)-exp(1000)+1")
+    assert code == 2 and not out
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage" and "NaN" in error["message"]
+
+
 def test_eval_preschwarzian_at_origin(capsys):
     code, report, _ = run_json(
         capsys, "eval", *GAP_ONE, "--op", "preschwarzian", "--z", "0"

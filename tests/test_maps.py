@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from logharm import maps as maps_module
 from logharm.errors import (
     CriticalPoint,
     DegenerateDenominator,
@@ -17,6 +18,7 @@ from logharm.errors import (
     PoleEncountered,
 )
 from logharm.expr import Div, Lit, Mul, Sub, Var, eval_jet, parse
+from logharm.jets import Jet
 from logharm.maps import (
     LogHarmonicMap,
     analytic_pre_schwarzian,
@@ -85,6 +87,42 @@ def test_constructor_rejects_non_finite_beta(m, beta):
     # Re(nan) <= -1/2 is False, so only a finiteness test refuses these
     with pytest.raises(ValueError, match="finite"):
         LogHarmonicMap.from_strings(m, beta, "z/(1-z)" if m == 0 else "1/(1-z)", "1")
+
+
+# inf - inf: NaN at every z, the origin included
+NAN_EVERYWHERE = "exp(1000)-exp(1000)+1"
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("which", ["h", "g"])
+def test_constructor_rejects_a_nan_at_the_origin(m, which):
+    # NaN fails every normalization comparison, so only a NaN test refuses it
+    parts = {"h": "1/(1-z)", "g": "1", which: NAN_EVERYWHERE}
+    with pytest.raises(ValueError, match="NaN"):
+        LogHarmonicMap.from_strings(m, 0, parts["h"], parts["g"])
+
+
+def test_constructor_keeps_an_infinite_value_at_the_origin():
+    # an overflow reads inf, inf + nan j included, and map_value reports it
+    for m, h in ((1, "exp(1000)+z"), (0, "exp(1000)*(1+z)"), (0, "exp(1000)")):
+        LogHarmonicMap.from_strings(m, 0, h, "1")
+
+
+@pytest.mark.parametrize("d1", [complex(math.nan), complex(0, math.nan)])
+def test_constructor_rejects_a_vanishing_h_with_a_nan_derivative(monkeypatch, d1):
+    # for m = 0 and h(0) = 0 the constructor reads h'(0); no expression
+    # reaches h(0) = 0 with a NaN h'(0), so h's jet at 0 is stubbed
+    h = parse("z")
+    real_eval = maps_module.eval_jet
+
+    def stub(e, z, order=3):
+        return Jet((0j, d1)) if e is h else real_eval(e, z, order)
+
+    monkeypatch.setattr(maps_module, "eval_jet", stub)
+    with pytest.raises(ValueError, match="h'\\(0\\) != 0"):
+        LogHarmonicMap(0, 0, h, parse("1"))
+    monkeypatch.setattr(maps_module, "eval_jet", real_eval)
+    LogHarmonicMap(0, 0, h, parse("1"))  # the real h'(0) = 1
 
 
 def test_constructor_normalization_when_vanishing():

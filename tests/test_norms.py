@@ -6,6 +6,7 @@ import dataclasses
 import math
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,8 +28,7 @@ from logharm.maps import (
 )
 from logharm.norms import (
     _INNER_RADIUS,
-    _ZOOM_POINTS,
-    _ZOOM_ROUNDS,
+    _PATCH_CALLS,
     GridSpec,
     Sup,
     _radii,
@@ -150,8 +150,9 @@ def test_refinement_monotone(gap_one):
 
 
 def test_refine_stops_after_a_round_that_moves_nothing():
-    # the sup of a constant field is its origin sample, so refine round 1
-    # moves nothing, and every later round would repeat it exactly
+    # the sup of a constant field is its origin sample, so no patch point
+    # beats it: each call shrinks both half-widths by 6, and the eighth
+    # brings them under 1e-6 of a grid step (6^7 < 1e6 < 6^8), in round 1
     sizes = []
 
     def counted(z):
@@ -160,10 +161,9 @@ def test_refine_stops_after_a_round_that_moves_nothing():
 
     grid = GridSpec(radial_levels=20, angular_count=32, refine_rounds=3)
     est = weighted_sup(counted, 1, grid)
-    # the origin, the other 19 levels in one block, one round (a radial and
-    # an angular zoom search of _ZOOM_ROUNDS calls each), the re-evaluation
-    zoom = [_ZOOM_POINTS] * _ZOOM_ROUNDS
-    assert sizes == [1, 19 * 32] + zoom + zoom + [1]
+    # the origin, the other 19 levels in one block, eight 8 x 8 patches
+    # and the re-evaluation; rounds 2 and 3 make no call
+    assert sizes == [1, 19 * 32] + [64] * 8 + [1]
     assert est.refine_values == (1.0,) * (grid.refine_rounds + 1)
     assert (est.value, est.argmax) == (1.0, 0j)
 
@@ -472,77 +472,62 @@ def test_a_field_that_fails_everywhere_fails_the_shared_sweep():
     assert str(shared.value) == str(separate)
 
 
-# -- the refine skips a zoom whose inputs did not move -------------------
-
-ZOOM_MAX = norms._zoom_max
+# -- the refine: one recentring 8 x 8 patch search ----------------------
 
 
-def _reference_refine(field, p, grid, inner):
-    """The refine loop with every zoom run: (value, argmax, refine_values)."""
-    weighted = partial(norms._weighted, field, p)
-    (walk,) = level_walk([weighted], grid, inner)
-    radii, level, best, th = walk.radii, walk.level, walk.value, walk.theta
-    r_best = float(radii[level])
-    trace = [best]
-    for _ in range(grid.refine_rounds):
-        lo = float(radii[level - 1]) if level > 0 else inner
-        hi = float(radii[level + 1]) if level + 1 < len(radii) else grid.r_max
-        r_new, v = ZOOM_MAX(weighted, lo, hi, theta=th)
-        if v > best:
-            best, r_best = v, r_new
-            while level + 1 < len(radii) and radii[level + 1] < r_best:
-                level += 1
-            while level > 0 and radii[level] > r_best:
-                level -= 1
-        dtheta = 2.0 * math.pi / grid.angular_count
-        th_new, v = ZOOM_MAX(weighted, th - dtheta, th + dtheta, r=r_best)
-        if v > best:
-            best, th = v, th_new
-        trace.append(best)
-    z = np.atleast_1d(r_best * np.exp(1j * th))
-    w = float(weighted(r_best, z)[0])
-    return max(w, best) if math.isfinite(w) else best, complex(z[0]), tuple(trace)
+def _shapes_of_calls(field, shapes):
+    def recorded(z):
+        shapes.append(np.shape(z))
+        return field(z)
+
+    return recorded
 
 
-def test_no_refine_repeats_its_previous_zoom(monkeypatch):
+def test_every_refine_keeps_its_call_budget_and_repeats():
     grid = dataclasses.replace(SMALL, refine_rounds=4)
-    zooms = []
-
-    def recording(weighted, a, b, r=None, theta=None):
-        # the r-zoom fixes theta, the theta-zoom fixes r
-        assert weighted.func is norms._weighted
-        fld = weighted.args[0]
-        if r is None:
-            zooms.append((fld, "r", (a, b, theta)))
-        else:
-            zooms.append((fld, "theta", (a, b, r)))
-        return ZOOM_MAX(weighted, a, b, r=r, theta=theta)
-
-    monkeypatch.setattr(norms, "_zoom_max", recording)
-    refines = 0
     for name in fixture_names():
         f = build(name)
-        inner = _INNER_RADIUS if origin_exponent(f) != 0 else 0.0
         for sup in (pre_schwarzian_sup(f), schwarzian_sup(f)):
-            (est,) = weighted_sups([sup], grid)
-            refines += 1
-            want = _reference_refine(sup.field, sup.weight_power, grid, inner)
-            assert (est.value, est.argmax, est.refine_values) == want, name
-            assert len(est.refine_values) == grid.refine_rounds + 1
-    last = {}
-    for fld, direction, inputs in zooms:
-        assert last.get((id(fld), direction)) != inputs
-        last[id(fld), direction] = inputs
-    assert len(zooms) < 2 * grid.refine_rounds * refines
+            runs = []
+            for _ in range(2):
+                walked, shapes = [], []
+                inner = _INNER_RADIUS if sup.singular else 0.0
+                weighted = partial(norms._weighted, _shapes_of_calls(sup.field, walked),
+                                   sup.weight_power)
+                level_walk([weighted], grid, inner)
+                counted = Sup(_shapes_of_calls(sup.field, shapes), sup.weight_power,
+                              sup.singular)
+                (est,) = weighted_sups([counted], grid)
+                # the walk's calls, then the patches, then the certificate
+                patches = shapes[len(walked):-1]
+                assert shapes[: len(walked)] == walked and shapes[-1] == (1,), name
+                assert set(patches) <= {(8, 8)}, name
+                assert len(patches) <= _PATCH_CALLS * grid.refine_rounds, name
+                trace = est.refine_values
+                assert len(trace) == grid.refine_rounds + 1, name
+                assert all(b >= a for a, b in zip(trace, trace[1:])), name
+                assert est.value >= trace[-1], name
+                runs.append(repr((est.value, est.argmax, trace, est.samples, shapes)))
+            assert runs[0] == runs[1], name
 
 
-def test_a_zoom_skips_values_that_are_not_finite():
-    # the field fails on the inner third of the bracket, where each round's
-    # first points lie; the zoom still finds the best finite value
-    def weighted(r, z):
-        return np.where(np.abs(z) < 0.3, np.nan, np.abs(z))
+def test_the_patch_skips_values_that_are_not_finite():
+    # (1 - |z|^2)|field| reads 1 + Re z, which grows toward the cut
+    # Re z = 0.5, beyond which the field fails: the patches that cross the
+    # cut read non-finite values, and the refine still climbs to the cut
+    grid = GridSpec(radial_levels=20, angular_count=32, refine_rounds=3)
+    for bad in (np.nan, np.inf):
 
-    assert ZOOM_MAX(weighted, 0.0, 0.9, theta=0.0) == (0.9, 0.9)
+        def field(z, bad=bad):
+            z = np.asarray(z, dtype=complex)
+            value = (1.0 + z.real) / (1.0 - np.abs(z) ** 2) + 0j
+            return np.where(z.real > 0.5, bad, value)
+
+        (walk,) = level_walk([partial(norms._weighted, field, 1)], grid)
+        assert walk.value < 1.5 - 1e-3
+        est = weighted_sup(field, 1, grid)
+        assert math.isfinite(est.value) and est.value == est.refine_values[-1]
+        assert 1.5 - 1e-6 < est.value <= 1.5 + 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan + 0j, np.inf + 0j])
@@ -558,16 +543,51 @@ def test_a_failed_certificate_keeps_the_best_value_seen(bad):
     assert math.isfinite(est.value) and est.value == est.refine_values[-1]
 
 
-def test_zoom_grid_is_linspace_bit_for_bit():
-    # brackets as the refine makes them: radial ones in [0, 1), angular ones
-    # around [0, 2 pi), shrinking to widths near an ulp, and empty ones
-    rng = np.random.default_rng(11)
-    brackets = [(0.0, 0.0), (0.3, 0.3), (1.0, 0.0), (-0.1, 0.1), (0.0, 2 * math.pi),
-                (0.999999, math.nextafter(0.999999, 1.0)), (1e-300, 2e-300)]
-    for _ in range(5000):
-        a = rng.uniform(-1.0, 7.0)
-        width = 10.0 ** rng.uniform(-16.0, 1.0)
-        brackets += [(a, a + width), (a + width, a)]
-    for a, b in brackets:
-        got, want = norms._zoom_grid(a, b), np.linspace(a, b, _ZOOM_POINTS)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (a, b)
+# -- a ridge that runs diagonally across the grid cells -----------------
+
+# Bloch norm of log g, g = 1/(1-0.9 z) (1 - c z)^(-1.05): the peak near
+# 1/c is narrower in angle than the angular step, so the ridge that leads
+# to it crosses the grid cells diagonally.  Each sup was polished at 40
+# digits from a 400 x 4096 grid's argmax (see _polished_sup)
+RIDGE_SUPS = {
+    ("0.99999", "1.0001"): "2.0876914491183435591",
+    ("0.99999", "2.7183"): "2.0870860044998218068",
+    ("0.999", "1.0001"): "1.9830824903167654034",
+}
+
+
+def _polished_sup(modulus: str, angle: str, start: complex):
+    """sup (1 - |z|^2)|g'/g| at 40 digits: findroot on the gradient of
+    (1 - |z|^2)^2 |g'/g|^2 from ``start``, with g'/g = 0.9/(1 - 0.9 z) +
+    1.05 c/(1 - c z) written out here, not read from the package."""
+    with mpmath.workdps(40):
+        c = mpmath.mpf(modulus) * mpmath.expjpi(mpmath.mpf(angle) / mpmath.pi)
+        a = mpmath.mpf("0.9")
+
+        def logderiv(z):
+            return a / (1 - a * z) + mpmath.mpf("1.05") * c / (1 - c * z)
+
+        def gradient(x, y):
+            z = mpmath.mpc(x, y)
+            w = logderiv(z)
+            dw = a**2 / (1 - a * z) ** 2 + mpmath.mpf("1.05") * c**2 / (1 - c * z) ** 2
+            t, ww = 1 - x * x - y * y, abs(w) ** 2
+            cross = mpmath.conj(w) * dw
+            return [-4 * x * t * ww + 2 * t * t * cross.real,
+                    -4 * y * t * ww - 2 * t * t * cross.imag]
+
+        x, y = mpmath.findroot(gradient, (mpmath.mpf(start.real), mpmath.mpf(start.imag)))
+        z = mpmath.mpc(x, y)
+        return (1 - abs(z) ** 2) * abs(logderiv(z))
+
+
+@pytest.mark.parametrize("modulus,angle", list(RIDGE_SUPS))
+@pytest.mark.parametrize("levels,angles", [(200, 512), (60, 128), (40, 512)])
+def test_the_refine_climbs_a_diagonal_ridge(modulus, angle, levels, angles):
+    g = parse(f"1/(1-0.9*z)*(1-{modulus}*exp({angle}*i)*z)^(-1.05)")
+    est = bloch_norm_log(g, GridSpec(radial_levels=levels, angular_count=angles))
+    true_sup = _polished_sup(modulus, angle, est.argmax)
+    with mpmath.workdps(40):
+        assert mpmath.almosteq(true_sup, mpmath.mpf(RIDGE_SUPS[modulus, angle]), rel_eps=1e-18)
+    assert not est.flagged
+    assert abs(est.value - float(true_sup)) <= 1e-9 * float(true_sup)
