@@ -117,18 +117,21 @@ def _add_map_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--expr", default=None, help="bare analytic target")
 
 
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+def _add_grid_flags(p: argparse.ArgumentParser, refine: bool = True) -> None:
+    """The grid's flags; ``refine=False`` for a subcommand that draws the
+    mesh and has no refine."""
     p.add_argument(
         "--radial-levels", type=int, default=40, dest="radial_levels",
         help="radial grid levels (default 40; the library's GridSpec defaults to 200)",
     )
     p.add_argument("--angular", type=int, default=512)
     p.add_argument("--r-max", type=float, default=1 - 1e-6, dest="r_max")
-    p.add_argument(
-        "--refine", type=int, default=3,
-        help="refine rounds after the sweep, each of up to 10 calls on an 8 x 8 patch "
-        "around the best point (default 3)",
-    )
+    if refine:
+        p.add_argument(
+            "--refine", type=int, default=3,
+            help="refine rounds after the sweep, each of up to 10 calls on an 8 x 8 patch "
+            "around the best point (default 3)",
+        )
 
 
 def _add_output_flags(p: argparse.ArgumentParser, default_format: str = "json") -> None:
@@ -176,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-format", choices=("csv", "ppm"), default=None, dest="image_format")
     p.add_argument("--color-field", action="store_true", dest="color_field")
     _add_map_flags(p)
-    _add_grid_flags(p)
+    _add_grid_flags(p, refine=False)
     _add_output_flags(p)
 
     p = sub.add_parser("profile", help="weighted field magnitude along the radius")
@@ -243,6 +246,14 @@ def _target_expr(args):
     if _has_map_flags(args):
         raise UsageError("give either --expr or --h/--g, not both")
     return _parse(args.expr)
+
+
+def _bloch_log_g(args):
+    """The parsed --g, the one input of --kind bloch-log, which refuses the
+    --h and --expr it would otherwise ignore."""
+    if args.h is not None or args.expr is not None:
+        raise UsageError("--kind bloch-log reads only --g; drop --h and --expr")
+    return _parse(_needed(args.g, "--kind bloch-log needs --g"))
 
 
 def _require_eps(args) -> complex:
@@ -376,7 +387,7 @@ _NORMS = {
         lambda f: schwarzian_norm(f, grid),
     ),
     "bloch-log": lambda args, grid: (
-        bloch_norm_log(_parse(_needed(args.g, "--kind bloch-log needs --g")), grid),
+        bloch_norm_log(_bloch_log_g(args), grid),
         {"g": args.g},
     ),
     "hg-eps": lambda args, grid: (

@@ -21,6 +21,13 @@ first evaluation of its power and kept on that ``Pow`` node.
 
 Note the grammar gives unary minus the tighter binding: ``-z^2`` is
 ``(-z)^2``.  Parenthesize exponents when in doubt; the printer does.
+
+This module picks the arithmetic: the point jet of z, in ``eval_jet`` and
+in the held block's table, is built in the class bound to the name `Jet`
+here.  A literal is built in the class of that point jet, and jet
+arithmetic returns its operands' class, so every jet of an evaluation,
+and every jet ``maps`` builds from one, is of that class.  The folding
+of constants also names `Jet`, but yields plain numbers.
 """
 from __future__ import annotations
 
@@ -449,7 +456,7 @@ def _eval_call(e: Call, zjet: Jet) -> Jet:
 
 
 _RULES = {
-    Lit: lambda e, zjet: Jet.constant(e.value, len(zjet.coeffs) - 1),
+    Lit: lambda e, zjet: type(zjet).constant(e.value, len(zjet.coeffs) - 1),
     Var: lambda e, zjet: zjet,
     Neg: lambda e, zjet: -_eval(e.arg, zjet),
     Add: lambda e, zjet: _eval(e.lhs, zjet) + _eval(e.rhs, zjet),

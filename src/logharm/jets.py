@@ -33,6 +33,11 @@ On the scalar path a vanishing denominator (division, log, negative power)
 raises :class:`PoleEncountered`; ``maps.as_field`` lifts array formulas,
 silencing numpy warnings, masking non-finite entries and reading such a
 raise on a z-independent coefficient as a field that is NaN everywhere.
+
+Jet arithmetic returns a jet of its operands' class, and the package
+builds no jet by class name outside ``expr``, whose point jet picks the
+class.  ``zpow_jet`` returns a `Jet`; ``maps`` copies its coefficients
+into the class of the jet it multiplies.
 """
 from __future__ import annotations
 

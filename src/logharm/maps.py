@@ -132,7 +132,7 @@ def _omega_parts(f: LogHarmonicMap, z, hj: Jet, gj: Jet) -> tuple[Jet, Jet]:
     if f.m == 0:
         return gp * hj, hp * gj
     a, b = f.exponents
-    zj = Jet.variable(z, hp.order)
+    zj = type(hp).variable(z, hp.order)
     return zj * (gp / gj) + b, a + zj * (hp / hj)
 
 
@@ -143,7 +143,7 @@ def _omega_jet(f: LogHarmonicMap, z, hj: Jet, gj: Jet) -> Jet:
     num, den = _omega_parts(f, z, hj, gj)
     om = num / den
     if not isinstance(z, np.ndarray):
-        om = Jet(map(complex, om.coeffs))
+        om = type(om)(map(complex, om.coeffs))
     return om
 
 
@@ -175,8 +175,8 @@ def _raw_local(f: LogHarmonicMap, z, order: int = 3):
     if f.m == 0:
         return omega, gj.truncate(order - 1), hj.derivative()
     a, _ = f.exponents
-    H = Jet.variable(z, order - 1) * hj.derivative() + a * hj
-    G = zpow_jet(z, c, order=order - 1) * gj
+    H = type(hj).variable(z, order - 1) * hj.derivative() + a * hj
+    G = type(gj)(zpow_jet(z, c, order - 1).coeffs) * gj
     return omega, G, H
 
 
@@ -404,9 +404,9 @@ def _value(f: LogHarmonicMap, z, order: int) -> tuple[Jet, Jet]:
     A, B = eval_jet(f.h, z, order), eval_jet(f.g, z, order)
     a, b = f.exponents
     if a != 0:
-        A = zpow_jet(z, a, order) * A
+        A = type(A)(zpow_jet(z, a, order).coeffs) * A
     if b != 0:
-        B = zpow_jet(z, b, order) * B
+        B = type(B)(zpow_jet(z, b, order).coeffs) * B
     return A, B
 
 

@@ -68,6 +68,8 @@ class RenderJob:
             raise ValueError(f"format must be one of {_FORMATS}")
         if not 0 < self.r_max < 1:
             raise ValueError("r_max must lie in (0, 1)")
+        if self.color_by_weighted_field and self.fmt == "csv":
+            raise ValueError("a CSV holds points, not colors: color_by_weighted_field needs ppm")
 
 
 @dataclass(frozen=True)

@@ -17,19 +17,20 @@ subclass can take any of them back:
 `LeanRefJet` has all three, and must match `Jet` bit for bit.  The plain
 `RefJet` is what every field must come out the same against.
 
-`use_reference_jets` evaluates the package on a reference class: it swaps
-every name bound to `Jet` in the package's modules for that class.  A
-reference jet refuses to mix with a jet of any other class, so a field
-cannot quietly run part of its arithmetic on `Jet`.
+`use_reference_jets` evaluates the package on a reference class.  The
+point jet that ``expr`` builds for z is the one place the package picks
+its jet class; every other jet takes the class of its operands, so the
+helper sets that one binding.  A reference jet refuses to mix with a jet
+of any other class, so a jet built by class name anywhere else, which
+would quietly run part of a field's arithmetic on `Jet`, fails the test.
 """
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
+from logharm import expr
 from logharm.errors import PoleEncountered
-from logharm.jets import MAX_ORDER, Jet, _log
+from logharm.jets import MAX_ORDER, _log
 
 _NUMBERS = (int, float, complex, np.generic, np.ndarray)
 
@@ -262,10 +263,5 @@ class LeanRefJet(RefJet):
 
 
 def use_reference_jets(monkeypatch, jet_class: type) -> None:
-    """Bind every name of the package that is `Jet` to ``jet_class``."""
-    for name, module in list(sys.modules.items()):
-        if name != "logharm" and not name.startswith("logharm."):
-            continue
-        for attr, value in list(vars(module).items()):
-            if value is Jet:
-                monkeypatch.setattr(module, attr, jet_class)
+    """Make ``jet_class`` the class that ``expr`` builds its point jets in."""
+    monkeypatch.setattr(expr, "Jet", jet_class)

@@ -403,6 +403,33 @@ def test_render_constant_color_field(capsys, tmp_path):
     assert bytes([90, 90, 90]) in out.read_bytes()
 
 
+def test_render_color_field_with_csv_exits_two(capsys, tmp_path):
+    out = tmp_path / "c.csv"
+    code, _, err = run(
+        capsys, "render", "--expr", "z", "--color-field", "--output", str(out),
+        "--radial-levels", "32", "--angular", "64",
+    )
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "ValueError"
+    assert not out.exists()
+
+
+def test_render_has_no_refine_flag(capsys, tmp_path):
+    # a render draws the mesh and refines nothing
+    out = tmp_path / "r.csv"
+    code, _, err = run(capsys, "render", "--expr", "z", "--refine", "1", "--output", str(out))
+    assert code == 2
+    assert "--refine" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [("--h", "zzz"), ("--expr", "z")])
+def test_bloch_log_refuses_flags_it_would_ignore(capsys, flag):
+    code, _, err = run(capsys, "norm", "--kind", "bloch-log", "--g", "1/(1-z)", *flag)
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "usage"
+
+
 def test_render_requires_output(capsys):
     code, _, err = run(capsys, "render", "--expr", "z")
     assert code == 2

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import cmath
+import random
 
 import numpy as np
 import pytest
 
 from logharm import jets, maps, norms
-from logharm.errors import PoleEncountered
-from logharm.expr import eval_jet, parse
+from logharm.errors import EvaluationError, PoleEncountered
+from logharm.expr import Mul, eval_jet, parse
 from logharm.fixtures import fixture_names, load_fixture
 from logharm.jets import Jet, zpow_jet
 from logharm.maps import LogHarmonicMap, origin_exponent
@@ -229,7 +230,12 @@ def _catalog_fields():
         f = fx.map
         yield f"P:{name}", maps.pre_schwarzian_field(f)
         yield f"S:{name}", maps.schwarzian_field(f)
+        yield f"omega:{name}", maps.dilatation_field(f)
+        yield f"dbar-P:{name}", maps.dbar_pre_schwarzian_field(f)
+        yield f"dbar-S:{name}", maps.dbar_schwarzian_field(f)
         yield f"logderiv-g:{name}", norms.logderiv_field(f.g)
+        yield f"analytic-P-hg:{name}", maps.analytic_pre_schwarzian_field(Mul(f.h, f.g))
+        yield f"analytic-S-hg:{name}", maps.analytic_schwarzian_field(Mul(f.h, f.g))
         if f.m == 0:
             eps = fx.eps if fx.eps is not None else 0.5 + 0.25j
             yield f"hg:{name}", maps.hg_epsilon_field(f, eps)
@@ -303,6 +309,61 @@ def test_skipping_unit_factors_and_negations_keeps_every_field(monkeypatch):
         nan = np.isnan(want[label])
         assert np.array_equal(np.isnan(got), nan), label
         assert got[~nan].tobytes() == want[label][~nan].tobytes(), label
+
+
+_SCALAR_OPS = ("pre_schwarzian", "schwarzian", "dilatation", "jacobian", "map_value",
+               "wirtinger", "dbar_pre_schwarzian", "dbar_schwarzian", "phi_family")
+
+
+def _scalar_points(name: str) -> list[complex]:
+    rng = random.Random(f"scalar-ops:{name}")
+    return [rng.uniform(0.05, 0.95) * cmath.exp(1j * rng.uniform(-cmath.pi, cmath.pi))
+            for _ in range(3)]
+
+
+def _scalar_outcomes() -> dict:
+    """Every scalar operator of every catalog map at its seeded points: the
+    value as a complex array, or the type of the error it raised; and
+    ``map_value`` at those points as one array."""
+    out = {}
+    for name in fixture_names():
+        f = load_fixture(name).map
+        zs = _scalar_points(name)
+        for op in _SCALAR_OPS:
+            for z in zs:
+                try:
+                    out[op, name, z] = np.atleast_1d(np.asarray(getattr(maps, op)(f, z), complex))
+                except EvaluationError as exc:
+                    out[op, name, z] = type(exc)
+        with np.errstate(all="ignore"):
+            out["map_value", name, "array"] = maps.map_value(f, np.array(zs))
+    return out
+
+
+@pytest.mark.parametrize("jet_class", [LeanRefJet, RefJet])
+def test_scalar_operators_on_the_reference_jets(jet_class, monkeypatch):
+    # LeanRefJet takes Jet's economies, so it gives the same bits; the
+    # textbook RefJet follows test_skipping_structural_zeros_keeps_every_field
+    use_reference_jets(monkeypatch, jet_class)
+    try:
+        assert type(eval_jet(_FACTORS["koebe:h"], 0.5j, 3)) is jet_class
+        # omega's Python-complex copy, z^c g and z h' + a h, at one point
+        local = maps._raw_local(load_fixture("starlike-vanishing").map, 0.5j, 3)
+        assert {type(j) for j in local} == {jet_class}
+        want = _scalar_outcomes()
+    finally:
+        monkeypatch.undo()
+    got = _scalar_outcomes()
+    for key, w in want.items():
+        g = got[key]
+        if isinstance(w, type):
+            assert g is w, key
+        elif jet_class is LeanRefJet:
+            assert g.tobytes() == w.tobytes(), key
+        else:
+            assert np.array_equal(np.isnan(g), np.isnan(w)), key
+            ok = ~np.isnan(w)
+            assert np.array_equal(np.abs(g[ok]), np.abs(w[ok])), key
 
 
 def _same_jets(got, want) -> bool:

@@ -36,6 +36,12 @@ def test_job_validation(tmp_path):
         RenderJob(parse("z"), tmp_path / "x.csv", r_max=1.5)
 
 
+def test_color_field_needs_a_ppm(tmp_path):
+    # a CSV row holds z and f(z); there is no pixel to color
+    with pytest.raises(ValueError, match="ppm"):
+        RenderJob(parse("z"), tmp_path / "x.csv", fmt="csv", color_by_weighted_field=True)
+
+
 def test_mesh_shape_and_order():
     z = mesh_points(RES, 0.9)
     assert len(z) == 1 + (RES[0] - 1) * RES[1]
