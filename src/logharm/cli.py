@@ -110,8 +110,9 @@ def _jsonable(v):
 
 
 def _add_map_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, default=0, help="vanishing order at the origin")
-    p.add_argument("--beta", default="0", help="exponent parameter, 're,im'")
+    # --m and --beta default to "not given", so that --expr can refuse them
+    p.add_argument("--m", type=int, default=None, help="vanishing order at the origin (default 0)")
+    p.add_argument("--beta", default=None, help="exponent parameter, 're,im' (default 0)")
     p.add_argument("--h", default=None, help="analytic factor h(z)")
     p.add_argument("--g", default=None, help="analytic factor g(z)")
     p.add_argument("--expr", default=None, help="bare analytic target")
@@ -129,8 +130,8 @@ def _add_grid_flags(p: argparse.ArgumentParser, refine: bool = True) -> None:
     if refine:
         p.add_argument(
             "--refine", type=int, default=3,
-            help="refine rounds after the sweep, each of up to 10 calls on an 8 x 8 patch "
-            "around the best point (default 3)",
+            help="refine rounds after the sweep, each of up to 10 calls on a 9 x 9 patch "
+            "around the best point, sampled at three nested scales (default 3)",
         )
 
 
@@ -211,7 +212,12 @@ def _grid_meta(grid: GridSpec) -> dict:
 
 
 def _has_map_flags(args) -> bool:
-    return args.h is not None or args.g is not None
+    return any(v is not None for v in (args.h, args.g, args.m, args.beta))
+
+
+def _m_beta(args) -> tuple[int, complex]:
+    """--m and --beta, each 0 where not given."""
+    return 0 if args.m is None else args.m, parse_complex(args.beta or "0")
 
 
 def _needed(value, message: str):
@@ -229,13 +235,13 @@ def _parse(text: str, what: str = "expression"):
 
 def _target_map(args) -> LogHarmonicMap:
     if args.expr is not None and _has_map_flags(args):
-        raise UsageError("give either --expr or --h/--g, not both")
+        raise UsageError("give either --expr or --h/--g/--m/--beta, not both")
     if args.h is None or args.g is None:
         raise UsageError("this operation needs a full mapping: --h and --g (plus --m/--beta)")
-    beta = parse_complex(args.beta)
+    m, beta = _m_beta(args)
     h, g = _parse(args.h, "factor expression"), _parse(args.g, "factor expression")
     try:
-        return LogHarmonicMap(args.m, beta, h, g)
+        return LogHarmonicMap(m, beta, h, g)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -244,15 +250,15 @@ def _target_expr(args):
     if args.expr is None:
         raise UsageError("this operation needs --expr")
     if _has_map_flags(args):
-        raise UsageError("give either --expr or --h/--g, not both")
+        raise UsageError("give either --expr or --h/--g/--m/--beta, not both")
     return _parse(args.expr)
 
 
 def _bloch_log_g(args):
     """The parsed --g, the one input of --kind bloch-log, which refuses the
-    --h and --expr it would otherwise ignore."""
-    if args.h is not None or args.expr is not None:
-        raise UsageError("--kind bloch-log reads only --g; drop --h and --expr")
+    --h, --expr, --m and --beta it would otherwise ignore."""
+    if any(v is not None for v in (args.h, args.expr, args.m, args.beta)):
+        raise UsageError("--kind bloch-log reads only --g; drop --h, --expr, --m and --beta")
     return _parse(_needed(args.g, "--kind bloch-log needs --g"))
 
 
@@ -260,8 +266,26 @@ def _require_eps(args) -> complex:
     return parse_complex(_needed(args.eps, "this operation needs --eps"))
 
 
+# the eval ops, norm kinds and check names that read --eps; only check
+# --name schwarz-pick reads --omega
+_READS_EPS = frozenset({"hg-eps-preschwarzian", "hg-eps", "eps-univalence", "eps-norm-gap"})
+
+
+def _refuse_unread(args, command: str) -> None:
+    """Refuse the --eps and --omega that ``command``, an eval op, a norm
+    kind or a check name, would ignore."""
+    unread = []
+    if args.eps is not None and command not in _READS_EPS:
+        unread.append("--eps")
+    if getattr(args, "omega", None) is not None and command != "schwarz-pick":
+        unread.append("--omega")
+    if unread:
+        raise UsageError(f"{command} does not read {' or '.join(unread)}; drop it")
+
+
 def _map_inputs(args, eps: bool = False) -> dict:
-    inputs = {"m": args.m, "beta": parse_complex(args.beta), "h": args.h, "g": args.g}
+    m, beta = _m_beta(args)
+    inputs = {"m": m, "beta": beta, "h": args.h, "g": args.g}
     if eps:
         inputs["eps"] = parse_complex(args.eps)
     return inputs
@@ -426,6 +450,7 @@ _CHECKS = {
 
 
 def _cmd_eval(args) -> int:
+    _refuse_unread(args, args.op)
     z = parse_complex(args.z)
     if args.expr is not None:
         e = _target_expr(args)
@@ -446,6 +471,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_norm(args) -> int:
+    _refuse_unread(args, args.kind)
     grid = _grid(args)
     est, inputs = _NORMS[args.kind](args, grid)
     report = {
@@ -465,6 +491,7 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _refuse_unread(args, args.name)
     grid = _grid(args)
     report, inputs = _CHECKS[args.name](args, grid)
     payload = {

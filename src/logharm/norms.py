@@ -30,16 +30,19 @@ walks its punctured annulus separately from the norms of the same map that
 start at the origin.
 
 Each field is then refined on its own by a patch search in (u, theta),
-u = -log(1 - r), in which the levels are evenly spaced.  Each call
-evaluates the field on an 8 x 8 patch, with u clipped to the swept band.
-The patch starts at the walk's best sample, one level step and one
-angular step wide on each side.  A point that beats the best value so far
-recentres it, and each axis then shrinks by 3 where that point is inside
-the patch, or doubles, up to 8 grid steps, where it is on the edge: so the
-patch can follow a ridge that runs diagonally across the grid cells.  A
-call that finds no better point shrinks both axes by 6.  A refine round
-makes at most `_PATCH_CALLS` calls, and the refine stops once both
-half-widths are `_PATCH_TOL` of their grid steps.
+u = -log(1 - r), in which the levels are evenly spaced.  A patch is 9 x 9
+offsets, so it samples its own centre lines, with u clipped to the swept
+band, and each call evaluates it at three nested scales of its
+half-widths, 1, 1/6 and 1/36: 243 points.  The patch starts at the walk's
+best sample, one level step and one angular step wide on each side.  A
+point that beats the best value so far recentres it, and each axis then
+takes the half-width of the scale that point came from, divided by 3
+where the point is inside the patch, or doubled, up to 8 grid steps, where
+it is on the edge: so the patch can follow a ridge that runs diagonally
+across the grid cells.  A call that finds no better point shrinks both
+axes by 6^3, past its smallest scale.  A refine round makes at most
+`_PATCH_CALLS` calls, and the refine stops once both half-widths are
+`_PATCH_TOL` of their grid steps.
 """
 from __future__ import annotations
 
@@ -63,10 +66,18 @@ from .maps import (
 # points, and any other field all 8 x 512 (`maps.as_field`); a block of an
 # odd ring holds 2048 points
 _BLOCK_POINTS = 2048
-# a patch's offsets from its centre along each axis, in half-widths; a
-# 64-point call costs about as much as a 1-point call, so the refine's cost
-# is its call count, at most _PATCH_CALLS a round (30 at the default 3)
-_PATCH = np.linspace(-1.0, 1.0, 8)
+# a patch's offsets from its centre along each axis, in half-widths: an
+# odd count puts the centre lines, where a sup on the walk's theta or at the
+# clipped u lies, in every patch.  One call samples the patch at three
+# nested scales of its half-widths, 243 points; such a call costs at most
+# about twice a 1-point call, so the refine's cost is mostly its call
+# count, at most _PATCH_CALLS a round (30 at the default 3).  A call that
+# finds no better point shrinks the half-widths by _MISS, past its
+# smallest scale
+_PATCH = np.linspace(-1.0, 1.0, 9)
+_SCALES = (1.0, 1.0 / 6.0, 1.0 / 36.0)
+_OFFSETS = np.multiply.outer(_SCALES, _PATCH)
+_MISS = 1.0 / 216.0
 _PATCH_CALLS = 10
 _PATCH_TOL = 1e-6
 
@@ -84,7 +95,8 @@ def _check_r_max(r_max: float) -> None:
 class GridSpec:
     """Polar sampling schedule; defaults give just over 1e5 samples.  The
     sweep's best sample is then refined for ``refine_rounds`` rounds, each
-    of up to 10 field calls on an 8 x 8 patch (see the module docstring)."""
+    of up to 10 field calls on a 9 x 9 patch at three nested scales (see the
+    module docstring)."""
 
     radial_levels: int = 200
     r_max: float = 1 - 1e-6
@@ -214,19 +226,20 @@ def _refine(weighted, walk: Walk, grid: GridSpec, inner: float, diverged: bool) 
         for _ in range(_PATCH_CALLS):
             if hu <= _PATCH_TOL * du and ht <= _PATCH_TOL * dtheta:
                 break
-            us = np.minimum(np.maximum(u + hu * _PATCH, u_lo), u_hi)
-            ts = theta + ht * _PATCH
-            rs = -np.expm1(-us)[:, None]
-            zs = rs * np.exp(1j * ts)
+            us = np.minimum(np.maximum(u + hu * _OFFSETS, u_lo), u_hi)
+            ts = theta + ht * _OFFSETS
+            rs = -np.expm1(-us)[:, :, None]
+            zs = rs * np.exp(1j * ts)[:, None, :]
             ys = weighted(rs, zs)
             ys = np.where(np.isfinite(ys), ys, -math.inf)
             k = int(np.argmax(ys))
             if ys.flat[k] <= best_val:
-                hu, ht = hu / 6.0, ht / 6.0
+                hu, ht = hu * _MISS, ht * _MISS
                 continue
-            i, j = divmod(k, _PATCH.size)
-            best_val, point, r_best = float(ys.flat[k]), complex(zs[i, j]), float(rs[i, 0])
-            u, theta = float(us[i]), float(ts[j])
+            s, i, j = np.unravel_index(k, zs.shape)
+            best_val, point, r_best = float(ys.flat[k]), complex(zs[s, i, j]), float(rs[s, i, 0])
+            u, theta = float(us[s, i]), float(ts[s, j])
+            hu, ht = hu * _SCALES[s], ht * _SCALES[s]
             hu = min(2.0 * hu, 8.0 * du) if i in edge else hu / 3.0
             ht = min(2.0 * ht, 8.0 * dtheta) if j in edge else ht / 3.0
         refine_trace.append(best_val)

@@ -211,9 +211,8 @@ def test_eval_vanishing_factor_error_carries_the_point(capsys, op):
 def test_eval_overflow_near_boundary_is_one_json_error(capsys):
     # exp(z/(1-z)) overflows at 0.999; stderr carries the typed error only
     for op in ("preschwarzian", "hg-eps-preschwarzian", "dilatation", "jacobian", "wirtinger"):
-        code, out, err = run(
-            capsys, "eval", *GAP_ONE, "--op", op, "--eps", "0.5,0.5", "--z", "0.999"
-        )
+        eps = ("--eps", "0.5,0.5") if op == "hg-eps-preschwarzian" else ()
+        code, out, err = run(capsys, "eval", *GAP_ONE, "--op", op, *eps, "--z", "0.999")
         assert (code, out) == (2, ""), op
         assert err.endswith("\n") and err.count("\n") == 1, (op, err)
         assert json.loads(err)["error"]["type"] == "PoleEncountered", op
@@ -423,7 +422,7 @@ def test_render_has_no_refine_flag(capsys, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", [("--h", "zzz"), ("--expr", "z")])
+@pytest.mark.parametrize("flag", [("--h", "zzz"), ("--expr", "z"), ("--m", "1"), ("--beta", "2")])
 def test_bloch_log_refuses_flags_it_would_ignore(capsys, flag):
     code, _, err = run(capsys, "norm", "--kind", "bloch-log", "--g", "1/(1-z)", *flag)
     assert code == 2
@@ -680,6 +679,56 @@ def test_check_name_reports_library_verdict(capsys, name):
     assert code == (0 if want.verdict == "pass" else 1)
     keys = ("verdict", "worst_margin", "worst_point", "samples", "detail", "extras")
     assert {k: report[k] for k in keys} == _jsonable({k: getattr(want, k) for k in keys})
+
+
+KOEBE = ("--expr", "z/(1-z)^2")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # --eps is read only by the hg-eps op and norm, and the two eps checks
+        (("eval", "--op", "preschwarzian", *KOEBE, "--eps", "zzz", "--z", "0.3"), "--eps"),
+        (("eval", "--op", "dilatation", *GAP_FIVE, "--eps", "1", "--z", "0.3"), "--eps"),
+        (("norm", "--kind", "pre", *KOEBE, "--eps", "3", *TINY), "--eps"),
+        (("norm", "--kind", "schwarzian", *GAP_FIVE, "--eps", "1", *TINY), "--eps"),
+        (("check", "--name", "norm-gap", *GAP_ONE, "--eps", "1", *TINY), "--eps"),
+        (("check", "--name", "schwarz-pick", "--omega", "z", "--eps", "1", *TINY), "--eps"),
+        # --omega is read only by the schwarz-pick check
+        (("check", "--name", "becker", *KOEBE, "--omega", "zzz", *TINY), "--omega"),
+        (("check", "--name", "eps-norm-gap", *GAP_FIVE, "--eps", "-1", "--omega", "z", *TINY),
+         "--omega"),
+        # an --expr target has no --m or --beta
+        (("eval", "--op", "preschwarzian", *KOEBE, "--m", "1", "--z", "0.3"), "--m"),
+        (("eval", "--op", "schwarzian", *KOEBE, "--beta", "0.5", "--z", "0.3"), "--beta"),
+        (("norm", "--kind", "pre", *KOEBE, "--m", "0", *TINY), "--m"),
+        (("check", "--name", "becker", *KOEBE, "--beta", "2", *TINY), "--beta"),
+        (("check", "--name", "nehari", "--expr", "exp(z)", "--m", "1", *TINY), "--m"),
+        (("profile", *KOEBE, "--beta", "0", "--samples", "20"), "--beta"),
+    ],
+)
+def test_options_a_command_would_ignore_are_usage_errors(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage" and flag in error["message"]
+
+
+def test_an_expr_render_refuses_m(capsys, tmp_path):
+    out = tmp_path / "e.csv"
+    code, _, err = run(capsys, "render", *KOEBE, "--m", "1", "--output", str(out))
+    assert code == 2 and json.loads(err)["error"]["type"] == "usage"
+    assert not out.exists()
+
+
+def test_m_and_beta_not_given_are_zero(capsys):
+    code, report, _ = run_json(
+        capsys, "norm", "--kind", "hg-eps", "--h", "z/(1-z)", "--g", "1/(1-z)", "--eps", "-1",
+        *TINY,
+    )
+    assert code == 0
+    assert report["inputs"] == {"m": 0, "beta": [0.0, 0.0], "h": "z/(1-z)",
+                                "g": "1/(1-z)", "eps": [-1.0, 0.0]}
 
 
 _JUNK = st.sampled_from(

@@ -151,19 +151,20 @@ def test_refinement_monotone(gap_one):
 
 def test_refine_stops_after_a_round_that_moves_nothing():
     # the sup of a constant field is its origin sample, so no patch point
-    # beats it: each call shrinks both half-widths by 6, and the eighth
-    # brings them under 1e-6 of a grid step (6^7 < 1e6 < 6^8), in round 1
-    sizes = []
+    # beats it: each call shrinks both half-widths by 6^3 = 216, and the
+    # third brings them under 1e-6 of a grid step (216^2 < 1e6 < 216^3), in
+    # round 1
+    shapes = []
 
     def counted(z):
-        sizes.append(np.size(z))
+        shapes.append(np.shape(z))
         return constant_one(z)
 
     grid = GridSpec(radial_levels=20, angular_count=32, refine_rounds=3)
     est = weighted_sup(counted, 1, grid)
-    # the origin, the other 19 levels in one block, eight 8 x 8 patches
-    # and the re-evaluation; rounds 2 and 3 make no call
-    assert sizes == [1, 19 * 32] + [64] * 8 + [1]
+    # the origin, the other 19 levels in one block, three patches of three
+    # nested 9 x 9 scales and the re-evaluation; rounds 2 and 3 make no call
+    assert shapes == [(1, 1), (19, 32)] + [(3, 9, 9)] * 3 + [(1,)]
     assert est.refine_values == (1.0,) * (grid.refine_rounds + 1)
     assert (est.value, est.argmax) == (1.0, 0j)
 
@@ -472,7 +473,7 @@ def test_a_field_that_fails_everywhere_fails_the_shared_sweep():
     assert str(shared.value) == str(separate)
 
 
-# -- the refine: one recentring 8 x 8 patch search ----------------------
+# -- the refine: one recentring patch search at three nested scales -----
 
 
 def _shapes_of_calls(field, shapes):
@@ -498,10 +499,11 @@ def test_every_refine_keeps_its_call_budget_and_repeats():
                 counted = Sup(_shapes_of_calls(sup.field, shapes), sup.weight_power,
                               sup.singular)
                 (est,) = weighted_sups([counted], grid)
-                # the walk's calls, then the patches, then the certificate
+                # the walk's calls, then the patches, each 9 x 9 offsets at
+                # three nested scales, then the certificate
                 patches = shapes[len(walked):-1]
                 assert shapes[: len(walked)] == walked and shapes[-1] == (1,), name
-                assert set(patches) <= {(8, 8)}, name
+                assert set(patches) <= {(3, 9, 9)}, name
                 assert len(patches) <= _PATCH_CALLS * grid.refine_rounds, name
                 trace = est.refine_values
                 assert len(trace) == grid.refine_rounds + 1, name
@@ -509,6 +511,47 @@ def test_every_refine_keeps_its_call_budget_and_repeats():
                 assert est.value >= trace[-1], name
                 runs.append(repr((est.value, est.argmax, trace, est.samples, shapes)))
             assert runs[0] == runs[1], name
+
+
+def _patch_calls(monkeypatch, sup, grid):
+    """The estimate of ``sup`` and the field calls its refine made before the
+    certificate."""
+    calls = []
+    refine = norms._refine
+
+    def counted(weighted, *args):
+        def call(r, z):
+            calls.append(np.shape(z))
+            return weighted(r, z)
+
+        return refine(call, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(norms, "_refine", counted)
+        est = weighted_sups([sup], grid)[0]
+    return est, len(calls) - 1
+
+
+def test_gap_one_refines_end_by_the_tolerance(gap_one, monkeypatch):
+    # gap-one's sups sit at the edge of its overflow band, where roundoff
+    # keeps offering a slightly better point; each refine still ends by the
+    # 1e-6-grid-step rule, not the call budget: more rounds add no call
+    grid = GridSpec()
+    for sup in (pre_schwarzian_sup(gap_one),
+                Sup(analytic_pre_schwarzian_field(Mul(gap_one.h, gap_one.g)), 1)):
+        est, calls = _patch_calls(monkeypatch, sup, grid)
+        assert calls <= 10
+        longer, more = _patch_calls(monkeypatch, sup, dataclasses.replace(grid, refine_rounds=6))
+        assert more == calls
+        assert (longer.value, longer.argmax) == (est.value, est.argmax)
+
+
+def test_a_sup_on_the_real_axis_keeps_a_real_witness():
+    # koebe's P_f peaks on the positive real axis: the patch's centre line
+    # theta = 0 samples it, so no point off the axis is kept
+    est = pre_schwarzian_norm(build("koebe"), GridSpec())
+    assert est.argmax.imag == 0.0 and est.argmax.real > 0
+    assert est.value == pytest.approx(6.0, rel=1e-6)
 
 
 def test_the_patch_skips_values_that_are_not_finite():
