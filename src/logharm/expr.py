@@ -341,11 +341,14 @@ def _real(e: Expr) -> bool:
 
 def _constant(e: Expr) -> complex:
     """The value of an expression that does not read z; NaN where it fails."""
-    try:
-        with np.errstate(all="ignore"):
-            v = complex(_eval(e, Jet.constant(0j, 0)).d0)
-    except (ArithmeticError, PoleEncountered):
-        return complex(math.nan, math.nan)
+    if isinstance(e, Lit):  # no jet: a render reads real_coefficients per block
+        v = e.value
+    else:
+        try:
+            with np.errstate(all="ignore"):
+                v = complex(_eval(e, Jet.constant(0j, 0)).d0)
+        except (ArithmeticError, PoleEncountered):
+            return complex(math.nan, math.nan)
     return v if cmath.isfinite(v) else complex(math.nan, math.nan)
 
 

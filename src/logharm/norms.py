@@ -145,6 +145,18 @@ def _weighted(field, p: int, r, z):
     return (1.0 - r * r) ** p * np.abs(field(z))
 
 
+def _ring(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n angles theta_j = 2 pi j / n and the ring exp(i theta_j) of the
+    grid, for the walk and the render's mesh (`render.mesh_points`) alike.
+    An even ring is mirrored: its upper half, columns 0..n/2, is
+    exp(i theta_j) bit for bit, and ring[n - j] = conj(ring[j])."""
+    thetas = np.arange(n) * (2.0 * math.pi / n)
+    ring = np.exp(1j * thetas)
+    if n % 2 == 0:
+        np.conjugate(ring[n // 2 - 1 : 0 : -1], out=ring[n // 2 + 1 :])
+    return thetas, ring
+
+
 class Walk(NamedTuple):
     """Best sample of a `level_walk` and the grid it was taken on."""
 
@@ -177,15 +189,10 @@ def level_walk(level_fns, grid: GridSpec, inner: float = 0.0):
     """
     radii = _radii(inner, grid.r_max, grid.radial_levels)
     n = grid.angular_count
-    thetas = np.arange(n) * (2.0 * math.pi / n)
-    ring = np.exp(1j * thetas)
-    upper = None
-    if n % 2 == 0:
-        # ring[n - j] = conj(ring[j]): a block is held with its columns
-        # 0..n/2, from which a real-coefficient field mirrors the rest
-        # (`maps.as_field`)
-        np.conjugate(ring[n // 2 - 1 : 0 : -1], out=ring[n // 2 + 1 :])
-        upper = ring[: n // 2 + 1]
+    thetas, ring = _ring(n)
+    # a block of an even ring is held with its columns 0..n/2, from which a
+    # real-coefficient field mirrors the rest (`maps.as_field`)
+    upper = ring[: n // 2 + 1] if n % 2 == 0 else None
     step = max(1, _BLOCK_POINTS // (n // 2 if n % 2 == 0 else n))
     first = 1 if radii[0] == 0.0 else 0
     blocks = [(0, 1, ring[:1], None)] if first else []

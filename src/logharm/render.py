@@ -1,21 +1,31 @@
 """Images of the unit disk as point clouds (CSV) or rasters (PPM).
 
-The mesh is polar with uniform angles and radii accumulating
-geometrically at the boundary, the same ladder the norm sweeps walk, so
-a colored render doubles as a picture of a weighted derivative field.
+The mesh is the norm sweeps' polar grid, bit for bit: the origin, then
+rings of uniform angles at radii accumulating geometrically at the
+boundary (`norms.level_walk`).  So a colored render doubles as a picture
+of a weighted derivative field, on the very points a sweep samples.
 Rows are emitted in (r, theta) order, and every written w re-evaluates
 bit-identically through `eval_target`, on the whole mesh or on any subset
 of its points: fields evaluate in chunks too small for numpy to elide a
 temporary (`maps.as_field`), so a value's bits do not depend on the call.
 
+The render evaluates the mesh in blocks of whole rings, as many as fit in
+`maps._CHUNK_POINTS` points (one, if a ring is larger), under one
+`expr.shared_jets` hold, as the sweep walks it: the origin alone, then
+each block held with the upper half of its rings, columns 0..n/2, when
+the ring size n is even.  A target whose data have real coefficients
+then evaluates its image, and its color field, on that half only and
+fills the lower half by conjugation (`maps.as_field`); any other target,
+and every odd ring, is evaluated whole.  A colored render evaluates the
+field and then the image on each block, so the image reads a prefix of
+the jets the field computed: the same bits, because jet arithmetic is
+triangular.
+
 A render keeps four arrays as long as the mesh: the mesh z, its image w,
 the finite mask of w and, when colored, the weighted field.  Everything
 else runs over blocks of `_BLOCK_ROWS` consecutive mesh points: the
-summary, the CSV rows, the color ramp and the pixel scatter.  A colored
-render evaluates the field and then the image on each of `as_field`'s
-chunks under one `expr.shared_jets` hold, so the image reads a prefix of
-the jets the field computed: the same bits, because jet arithmetic is
-triangular.
+summary, the CSV rows, the color ramp and the pixel scatter, which
+colors only the points that end up owning a pixel.
 """
 from __future__ import annotations
 
@@ -26,16 +36,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AllSamplesFailed, IoFailure
-from .expr import Expr, eval_value, shared_jets
+from .expr import Expr, eval_value, real_coefficients, shared_jets
 from .maps import (
     _CHUNK_POINTS,
     LogHarmonicMap,
+    _real_data,
     analytic_pre_schwarzian_field,
     as_field,
     map_value,
     pre_schwarzian_field,
 )
-from .norms import _radii
+from .norms import _radii, _ring
 
 _FORMATS = ("csv", "ppm")
 
@@ -61,7 +72,13 @@ class RenderJob:
     color_by_weighted_field: bool = False
 
     def __post_init__(self):
-        radial, angular = self.resolution
+        try:
+            radial, angular = self.resolution
+        except (TypeError, ValueError):
+            radial = angular = None
+        for value in (radial, angular):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"resolution must be two integers, got {self.resolution!r}")
         if radial < 32 or angular < 64:
             raise ValueError("resolution must be at least (32, 64)")
         if self.fmt not in _FORMATS:
@@ -83,10 +100,13 @@ class RenderSummary:
 
 
 def mesh_points(resolution: tuple[int, int], r_max: float) -> np.ndarray:
-    """Origin plus (radial - 1) rings of `angular` points, sorted by (r, theta)."""
+    """The origin, then (radial - 1) rings of `angular` points, in (r, theta)
+    order: bit for bit the points `norms.level_walk` samples on the grid of
+    `radial` levels, `angular` angles and this r_max.  An even ring's lower
+    half is the conjugate of its upper half (`norms._ring`)."""
     radial, angular = resolution
     radii = _radii(0.0, r_max, radial)
-    ring = np.exp(1j * (np.arange(angular) * (2 * math.pi / angular)))
+    _, ring = _ring(angular)
     z = np.empty(1 + (radial - 1) * angular, dtype=complex)
     z[0] = 0j
     np.multiply(radii[1:, None], ring, out=z[1:].reshape(radial - 1, angular))
@@ -94,9 +114,18 @@ def mesh_points(resolution: tuple[int, int], r_max: float) -> np.ndarray:
 
 
 def eval_target(target: Expr | LogHarmonicMap, z: np.ndarray) -> np.ndarray:
-    """Vectorized image points; non-evaluable mesh points come back NaN."""
-    image = map_value if isinstance(target, LogHarmonicMap) else eval_value
-    return as_field(lambda z: image(target, z))(z)
+    """Vectorized image points; non-evaluable mesh points come back NaN.
+
+    On a block of mesh rings that `_evaluate` holds with its upper half, a
+    target whose data have real coefficients (`maps._real_data`,
+    ``expr.real_coefficients``) is evaluated on that half, and its lower
+    half is the conjugate (`maps.as_field`): the same bits as evaluating
+    the block whole."""
+    if isinstance(target, LogHarmonicMap):
+        image, real = map_value, _real_data(target)
+    else:
+        image, real = eval_value, real_coefficients(target)
+    return as_field(lambda z: image(target, z), conjugate=real)(z)
 
 
 def _weighted_field(target: Expr | LogHarmonicMap):
@@ -105,20 +134,29 @@ def _weighted_field(target: Expr | LogHarmonicMap):
     return analytic_pre_schwarzian_field(target)
 
 
-def _colored_image(target: Expr | LogHarmonicMap, z: np.ndarray):
-    """(w, (1-|z|^2)|P_f|) on the mesh, both on each of as_field's chunks
-    under one jet hold, the field first: it reads h and g to order 2, and
-    the image reads their order-0 prefix."""
-    field = _weighted_field(target)
+def _evaluate(target: Expr | LogHarmonicMap, z: np.ndarray, angular: int, colored: bool):
+    """(w, vals) on the mesh z of rings of `angular` points: the image w and,
+    when colored, the weighted field (1-|z|^2)|P_f|, else None.
+
+    The origin is one block, then each block is as many whole rings as fit
+    in `_CHUNK_POINTS` points, at least one, held under one jet hold with the
+    upper half of its rings when `angular` is even, as `norms.level_walk`
+    holds its blocks.
+    A colored block evaluates the field first: it reads h and g to order 2,
+    and the image reads their order-0 prefix."""
+    field = _weighted_field(target) if colored else None
     w = np.empty_like(z)
-    vals = np.empty(len(z))
+    vals = np.empty(len(z)) if colored else None
+    step = max(1, _CHUNK_POINTS // angular) * angular
+    parts = [slice(0, 1)] + [slice(i, i + step) for i in range(1, len(z), step)]
     with shared_jets() as hold:
-        for i in range(0, len(z), _CHUNK_POINTS):
-            part = slice(i, i + _CHUNK_POINTS)
-            zc = z[part]
-            hold(zc)
-            vals[part] = np.abs(field(zc)) * (1 - np.abs(zc) ** 2)
-            w[part] = eval_target(target, zc)
+        for part in parts:
+            zs = z[part] if part.start == 0 else z[part].reshape(-1, angular)
+            mirrored = zs.ndim == 2 and angular % 2 == 0
+            hold(zs, zs[:, : angular // 2 + 1].copy() if mirrored else None)
+            if colored:
+                vals[part] = (np.abs(field(zs)) * (1 - np.abs(zs) ** 2)).ravel()
+            w[part] = eval_target(target, zs).ravel()
     return w, vals
 
 
@@ -225,8 +263,8 @@ def _write_ppm(
     top = _ramp_top(vals, ok) if vals is not None else 0.0
     canvas = np.zeros((side * side, 3), dtype=np.uint8)
     for part in _blocks(len(w)):
-        keep = ok[part]
-        ws = w[part][keep]
+        kept = np.flatnonzero(ok[part])
+        ws = w[part][kept]
         # np.rint rounds half to even, as round() does
         px = np.rint((ws.real + half) * scale).astype(np.intp)
         py = side - 1 - np.rint((ws.imag + half) * scale).astype(np.intp)
@@ -235,8 +273,10 @@ def _write_ppm(
         flat = py * side + px
         _, first_from_end = np.unique(flat[::-1], return_index=True)
         last = len(flat) - 1 - first_from_end
-        colors = _colors(None if vals is None else vals[part], keep, top)[keep]
-        canvas[flat[last]] = colors[last]
+        # only the points that own a pixel are colored: far fewer than the
+        # block's where many points share a pixel
+        own = kept[last]
+        canvas[flat[last]] = _colors(None if vals is None else vals[part][own], ok[part][own], top)
     try:
         with open(path, "wb") as fh:
             fh.write(f"P6 {side} {side} 255\n".encode("ascii"))
@@ -252,10 +292,7 @@ def render_image(job: RenderJob) -> RenderSummary:
     modulus are taken over the surviving image points.
     """
     z = mesh_points(job.resolution, job.r_max)
-    if job.color_by_weighted_field and job.fmt == "ppm":
-        w, vals = _colored_image(job.target, z)
-    else:
-        w, vals = eval_target(job.target, z), None
+    w, vals = _evaluate(job.target, z, job.resolution[1], job.color_by_weighted_field)
     ok = np.isfinite(w)
     rows = int(np.count_nonzero(ok))
     if not rows:

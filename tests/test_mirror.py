@@ -4,6 +4,8 @@ The walk holds each block of a ring of even size with its upper half,
 columns 0..n/2, of which column n - j of the block is the conjugate of
 column j.  A field whose data have real coefficients runs its formula on
 that half and fills the other columns by conjugation (`maps.as_field`).
+A render holds the blocks of its mesh the same way (`render._evaluate`),
+so a real-data target's image and color field take that path too.
 These tests hold that path to the direct evaluation bit for bit, check
 where it must not be taken, and pin the ring, the held half and the
 certificate that it depends on.
@@ -17,7 +19,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from logharm import criteria, expr, fixtures, maps, norms
+from logharm import criteria, expr, fixtures, maps, norms, render
 from logharm.criteria import (
     _a5_margin_field,
     _starlike_margin_field,
@@ -245,6 +247,74 @@ def test_odd_rings_and_complex_omega_are_never_mirrored(monkeypatch):
     calls.clear()
     schwarz_pick_check(parse("(0.6-z)/(1-0.6*z)"), GridSpec(radial_levels=20))
     assert calls
+
+
+# a render mesh of 5 blocks of 8 rings (the last of 7) with this block size
+RENDER_MESH, RENDER_BLOCK = (40, 128), 8 * 128
+REAL_EXPRS = [
+    (text, parse(text))
+    for text in ("1/z", "z/(1-z)^2", "exp(z/(1-z))", "(1-0.99*z)^(-199/99)", "2^z*log(1+0.5*z)")
+]
+
+
+def _rendered(target, resolution, colored, monkeypatch):
+    """(mesh, image, color values) of the render's block loop."""
+    monkeypatch.setattr(render, "_CHUNK_POINTS", RENDER_BLOCK)
+    z = render.mesh_points(resolution, 1 - 1e-3)
+    return (z, *render._evaluate(target, z, resolution[1], colored))
+
+
+@pytest.mark.parametrize("name, target", MAPS + REAL_EXPRS, ids=[n for n, _ in MAPS + REAL_EXPRS])
+def test_mirrored_images_equal_direct_bit_for_bit(name, target, monkeypatch):
+    unfolded = _unfold_calls(monkeypatch)
+    for colored in (False, True):
+        z, w, vals = _rendered(target, RENDER_MESH, colored, monkeypatch)
+        # each of the 5 ring blocks: the image, and the color field, on the half
+        assert len(unfolded) == 5 * (1 + colored)
+        unfolded.clear()
+        # the whole mesh, in one call with no hold: every point computed
+        assert _bits(w) == _bits(render.eval_target(target, z)), colored
+        if colored:
+            field = render._weighted_field(target)
+            assert _bits(vals) == _bits(np.abs(field(z)) * (1 - np.abs(z) ** 2))
+        assert not unfolded
+    if name == "1/z":
+        assert np.isnan(w[0]) and np.isnan(vals[0]) and np.isfinite(w[1:]).all()
+
+
+def _image_shapes(monkeypatch) -> list:
+    """The shape of every array the render's image formula is called on."""
+    shapes = []
+    for name in ("map_value", "eval_value"):
+        image = getattr(render, name)
+        monkeypatch.setattr(render, name, lambda t, z, image=image: shapes.append(z.shape)
+                            or image(t, z))
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "target, resolution",
+    [
+        (build("complex-beta"), RENDER_MESH),
+        (parse("exp((0.3+0.2*i)*z)/(1-z)"), RENDER_MESH),
+        (build("koebe"), (40, 127)),
+    ],
+    ids=["complex-beta", "complex-constant", "odd-ring"],
+)
+def test_renders_with_no_mirrored_half(target, resolution, monkeypatch):
+    unfolded = _unfold_calls(monkeypatch)
+    shapes = _image_shapes(monkeypatch)
+    _rendered(target, resolution, True, monkeypatch)
+    n = resolution[1]
+    # the origin, then whole blocks of rings
+    assert shapes == [(1,)] + [(8, n)] * 4 + [(7, n)]
+    assert not unfolded
+
+
+def test_a_real_render_evaluates_its_image_on_the_half(monkeypatch):
+    shapes = _image_shapes(monkeypatch)
+    _rendered(build("koebe"), RENDER_MESH, False, monkeypatch)
+    assert shapes == [(1,)] + [(8, 65)] * 4 + [(7, 65)]
 
 
 @pytest.mark.parametrize(

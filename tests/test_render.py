@@ -11,6 +11,7 @@ from logharm import render
 from logharm.errors import IoFailure
 from logharm.expr import parse
 from logharm.maps import map_value
+from logharm.norms import GridSpec, level_walk
 from logharm.render import RenderJob, eval_target, mesh_points, render_image
 
 RES = (32, 64)
@@ -36,6 +37,20 @@ def test_job_validation(tmp_path):
         RenderJob(parse("z"), tmp_path / "x.csv", r_max=1.5)
 
 
+@pytest.mark.parametrize(
+    "resolution",
+    [(32.5, 64), (32, 64.0), (np.float64(40), 64), ("40", 64), (True, 64), 64, (32, 64, 1)],
+)
+def test_resolution_entries_must_be_integers(resolution, tmp_path):
+    with pytest.raises(ValueError, match="integers"):
+        RenderJob(parse("z"), tmp_path / "x.csv", resolution=resolution)
+
+
+def test_numpy_integer_resolution_is_accepted(tmp_path):
+    job = RenderJob(parse("z"), tmp_path / "x.csv", resolution=(np.int64(32), np.int64(64)))
+    assert render_image(job).rows == 1 + 31 * 64
+
+
 def test_color_field_needs_a_ppm(tmp_path):
     # a CSV row holds z and f(z); there is no pixel to color
     with pytest.raises(ValueError, match="ppm"):
@@ -52,6 +67,21 @@ def test_mesh_shape_and_order():
     assert (np.diff(rings[:, 0]) > 0).all()
     angles = np.angle(z[1 : 1 + RES[1]] / r[1])
     assert angles[0] == 0
+
+
+@pytest.mark.parametrize("angular", [128, 127])
+def test_mesh_is_the_sweep_grid(angular):
+    # the points level_walk hands its functions, in (r, theta) order
+    radial, r_max = 40, 1 - 1e-3
+    seen = []
+
+    def spy(r, zs):
+        seen.append(zs.ravel().copy())
+        return np.zeros(zs.shape)
+
+    level_walk([spy], GridSpec(radial, r_max, angular), inner=0.0)
+    z = mesh_points((radial, angular), r_max)
+    assert z.tobytes() == np.concatenate(seen).tobytes()
 
 
 def test_disk_automorphism_stays_inside(tmp_path):
@@ -168,15 +198,17 @@ def test_unwritable_path_raises(tmp_path):
         render_image(job)
 
 
-# blake2b (16-byte) digests of the files the per-point writers wrote at RES
-# with the default r_max; the vectorized writers must reproduce them
+# blake2b (16-byte) digests of the files written at RES with the default
+# r_max.  The PPM digests are those of the per-point writers on the mesh of
+# exp(i theta) rings; the CSV digests changed with the mesh's mirrored lower
+# half, whose z (and so w) moved in the last bits, every other row unchanged
 GOLDEN = {
     ("gap-one-sharp", "ppm"): "2b8e9aa6ba4055a1015a505c15ba1bbb",
     ("gap-one-sharp", "color"): "75530119d68808aec4fd983090b73827",
-    ("gap-one-sharp", "csv"): "aa8cb2b4634f3fa0df7a81f45b7e08e9",
+    ("gap-one-sharp", "csv"): "a82f966f30c5443e5a5c4944d5b1b108",
     ("(2-3*z)/(3-2*z)", "ppm"): "de398554fcd84694b516cfbc61780b43",
     ("(2-3*z)/(3-2*z)", "color"): "4c6b4fece8a78752f9ef60328c3f94c4",
-    ("(2-3*z)/(3-2*z)", "csv"): "40357bd941f3430594290762297b27f3",
+    ("(2-3*z)/(3-2*z)", "csv"): "236994b225465a37b3b59794443cbaf3",
 }
 
 
@@ -200,18 +232,23 @@ def _index_rgb(i):
 
 
 def test_repeated_pixel_takes_last_point(tmp_path, monkeypatch):
-    # give every mesh point its own color, then replay the writer point by point
-    seen = [0]
+    # give every mesh point its own color, its index carried as its color
+    # value, then replay the writer point by point
+    evaluate = render._evaluate
+
+    def indexed(target, z, angular, colored):
+        return evaluate(target, z, angular, False)[0], np.arange(len(z), dtype=float)
+
+    colored = []
 
     def index_colors(vals, ok, top):
-        # called once per block, in mesh order
-        i = np.arange(seen[0], seen[0] + len(ok))
-        seen[0] += len(ok)
-        return _index_rgb(i)
+        colored.append(len(vals))
+        return _index_rgb(vals.astype(np.intp))
 
+    monkeypatch.setattr(render, "_evaluate", indexed)
     monkeypatch.setattr(render, "_colors", index_colors)
     path = tmp_path / "id.ppm"
-    job = RenderJob(parse("z"), path, resolution=RES, fmt="ppm")
+    job = RenderJob(parse("z"), path, resolution=RES, fmt="ppm", color_by_weighted_field=True)
     z = mesh_points(RES, job.r_max)
     side = RES[1]
     half = float(np.abs(np.concatenate([z.real, z.imag])).max())
@@ -228,9 +265,10 @@ def test_repeated_pixel_takes_last_point(tmp_path, monkeypatch):
     assert any(len({i // 100 for i in points}) > 1 for points in owner.values())
     for rows in (render._BLOCK_ROWS, 100):
         monkeypatch.setattr(render, "_BLOCK_ROWS", rows)
-        seen[0] = 0
+        colored.clear()
         render_image(job)
-        assert seen[0] == len(z)
+        # only the points that own a pixel within their block are colored
+        assert len(owner) <= sum(colored) < len(z), rows
         body = path.read_bytes()[len(f"P6 {side} {side} 255\n") :]
         assert body == want.tobytes(), rows
 
@@ -242,8 +280,8 @@ def test_ramp_top_and_bad_points():
     ok = np.ones(len(z), dtype=bool)
     ok[-1] = False
     vals = np.abs(render._weighted_field(target)(z)) * (1 - np.abs(z) ** 2)
-    # the render's color values are these, computed chunk by chunk with the image
-    assert np.array_equal(render._colored_image(target, z)[1], vals, equal_nan=True)
+    # the render's color values are these, computed block by block with the image
+    assert np.array_equal(render._evaluate(target, z, RES[1], True)[1], vals, equal_nan=True)
     bad = ~np.isfinite(vals) | ~ok
     assert bad[0] and bad.sum() == 2
     top = render._ramp_top(vals, ok)
